@@ -33,6 +33,10 @@ pub struct MatchedPair {
     pub recv: RecvRec,
 }
 
+/// Sends awaiting a receive, keyed by `(communicator, source, destination,
+/// tag)`, each queue with the index of its first unmatched send.
+type SendQueues<'a> = HashMap<(u32, u32, u32, i32), (Vec<&'a SendRec>, usize)>;
+
 /// Match sends to receives with MPI semantics: FIFO per
 /// `(communicator, source, destination, tag)`. Unmatched operations (none
 /// arise from the substrate, but a tool must tolerate truncated traces)
@@ -40,8 +44,7 @@ pub struct MatchedPair {
 pub fn match_messages(ex: &Extract) -> Vec<MatchedPair> {
     // Each queue carries its own consumption cursor, so pairing costs one
     // hash lookup per receive instead of two.
-    let mut send_q: HashMap<(u32, u32, u32, i32), (Vec<&SendRec>, usize)> =
-        HashMap::with_capacity(ex.sends.len().min(64));
+    let mut send_q: SendQueues<'_> = HashMap::with_capacity(ex.sends.len().min(64));
     for s in &ex.sends {
         send_q
             .entry((s.comm, s.loc.rank, s.to, s.tag))

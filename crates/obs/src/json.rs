@@ -1,11 +1,11 @@
 //! A small, self-contained JSON value — the suite's canonical document
 //! representation.
 //!
-//! The suite's wire and on-disk documents (the store's `entry.json` and
-//! `index.json`, the key-ingredient documents its cache keys hash, the
-//! `ats-report/1` analyzer wire schema, every `ats-serve` response body)
-//! must render *canonically*: the same content always produces the same
-//! bytes, on every platform, forever — a cache key is only as stable as
+//! The suite's wire and on-disk documents (the store's `entry.json`, the
+//! key-ingredient documents its cache keys hash, the `ats-report/1`
+//! analyzer wire schema, every `ats-serve` response body) must render
+//! *canonically*: the same content always produces the same bytes, on
+//! every platform, forever — a cache key is only as stable as
 //! its serializer, and a frozen wire schema is only as stable as its
 //! formatter. Rather than pin that guarantee on an external crate's
 //! formatting choices, the suite owns a deliberately tiny JSON model:

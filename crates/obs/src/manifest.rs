@@ -5,9 +5,9 @@
 //! did (the *deterministic* per-subsystem counters — reproducible bit for
 //! bit for a fixed seed at any `jobs` value), and how it went (the
 //! *runtime* section: wall/CPU time, scheduling-dependent counters,
-//! gauges, latency histograms, profiler samples). The two sections are
-//! split precisely so tests and CI can diff [`RunManifest::deterministic_json`]
-//! across runs while the runtime half stays free to vary.
+//! gauges, latency histograms). The two sections are split precisely so
+//! tests and CI can diff [`RunManifest::deterministic_json`] across runs
+//! while the runtime half stays free to vary.
 
 use crate::json::{Json, Writer};
 use crate::registry::Handle;
@@ -38,8 +38,6 @@ pub struct RuntimeSection {
     pub gauges: BTreeMap<&'static str, u64>,
     /// All histograms.
     pub histograms: BTreeMap<&'static str, HistSnapshot>,
-    /// Sampling-profiler hits per span path (empty when disarmed).
-    pub profile: Vec<(String, u64)>,
 }
 
 /// The manifest itself. Serialize with [`RunManifest::to_json_pretty`].
@@ -100,14 +98,6 @@ impl RunManifest {
                         w.key(name).object(|w| {
                             w.key("count").int(h.count);
                             w.key("sum_seconds").float(h.sum_seconds);
-                        });
-                    }
-                });
-                w.key("profile").array(|w| {
-                    for (path, hits) in &rt.profile {
-                        w.elem().array(|w| {
-                            w.elem().str(path);
-                            w.elem().int(*hits);
                         });
                     }
                 });
@@ -185,7 +175,6 @@ pub fn build_manifest(
             counters: runtime_counters,
             gauges,
             histograms,
-            profile: crate::profiler::samples(),
         },
     }
 }

@@ -118,14 +118,7 @@ impl Histogram {
         self.observe_ns(d.as_nanos().min(u64::MAX as u128) as u64);
     }
 
-    /// Start an RAII timer that records into this histogram on drop and
-    /// maintains the thread-local span stack under `name` (see
-    /// [`crate::span`]).
-    pub fn span(&self, name: &'static str) -> crate::span::SpanGuard<'_> {
-        crate::span::SpanGuard::enter(self, name)
-    }
-
-    /// Start a plain RAII timer (no span-stack bookkeeping).
+    /// Start an RAII timer that records into this histogram on drop.
     pub fn timer(&self) -> HistTimer<'_> {
         HistTimer {
             hist: self,

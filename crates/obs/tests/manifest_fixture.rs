@@ -43,7 +43,6 @@ fn manifest() -> RunManifest {
             counters: BTreeMap::new(),
             gauges: BTreeMap::new(),
             histograms: BTreeMap::new(),
-            profile: Vec::new(),
         },
     }
 }

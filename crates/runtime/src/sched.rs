@@ -160,6 +160,9 @@ struct Task {
 struct SchedCore {
     sched_sp: *mut u8,
     current: usize,
+    // Boxed on purpose: `ctx::craft_stack` writes each task's address into
+    // its coroutine stack, so a task must not move when `tasks` grows.
+    #[allow(clippy::vec_box)]
     tasks: Vec<Box<Task>>,
     ready: BinaryHeap<Reverse<(HeapKey, usize)>>,
     /// Global push counter: FIFO tie-break among equal clocks.

@@ -36,16 +36,6 @@ unsafe extern "C" {
     fn close(fd: i32) -> i32;
 }
 
-/// One delivered readiness event: the registered token, and whether the
-/// peer already hung up.
-#[derive(Debug, Clone, Copy)]
-pub struct Ready {
-    /// The token passed at registration (the connection fd).
-    pub token: u64,
-    /// Peer closed its end (`EPOLLRDHUP`/error).
-    pub hangup: bool,
-}
-
 /// A safe epoll handle.
 #[derive(Debug)]
 pub struct Poller {
@@ -88,9 +78,10 @@ impl Poller {
         self.ctl(EPOLL_CTL_ADD, fd, token, false)
     }
 
-    /// Block up to `timeout_ms` (`-1` = forever) and append delivered
-    /// events to `out`. Returns the number delivered.
-    pub fn wait(&self, out: &mut Vec<Ready>, timeout_ms: i32) -> io::Result<usize> {
+    /// Block up to `timeout_ms` (`-1` = forever) and append the tokens of
+    /// delivered events to `out` (a peer hang-up is delivered as readiness
+    /// too). Returns the number delivered.
+    pub fn wait(&self, out: &mut Vec<u64>, timeout_ms: i32) -> io::Result<usize> {
         const MAX: usize = 256;
         let mut events: [EpollEvent; MAX] = unsafe { std::mem::zeroed() };
         let n = unsafe { epoll_wait(self.epfd, events.as_mut_ptr(), MAX as i32, timeout_ms) };
@@ -101,14 +92,7 @@ impl Poller {
             }
             return Err(err);
         }
-        for ev in events.iter().take(n as usize) {
-            let events_mask = ev.events;
-            let data = ev.data;
-            out.push(Ready {
-                token: data,
-                hangup: events_mask & EPOLLRDHUP != 0,
-            });
-        }
+        out.extend(events.iter().take(n as usize).map(|ev| ev.data));
         Ok(n as usize)
     }
 }
@@ -138,9 +122,7 @@ mod tests {
 
         a.write_all(b"x").unwrap();
         poller.wait(&mut out, 1000).unwrap();
-        assert_eq!(out.len(), 1);
-        assert_eq!(out[0].token, 7);
-        assert!(!out[0].hangup);
+        assert_eq!(out, [7]);
 
         // One-shot: armed state is consumed even though data remains.
         out.clear();
@@ -154,6 +136,6 @@ mod tests {
         poller.rearm(b.as_raw_fd(), 7).unwrap();
         out.clear();
         poller.wait(&mut out, 1000).unwrap();
-        assert!(out[0].hangup, "peer close reported as hangup");
+        assert_eq!(out, [7], "peer close delivers one readiness event");
     }
 }

@@ -350,11 +350,11 @@ fn poll_loop(inner: &Inner, _wake_keepalive: std::os::unix::net::UnixStream) {
             inner.ready_cv.notify_all();
             return;
         }
-        for ev in &events {
-            if ev.token == WAKE_TOKEN {
+        for token in &events {
+            if *token == WAKE_TOKEN {
                 continue;
             }
-            let conn = inner.conns.lock().unwrap().remove(&ev.token);
+            let conn = inner.conns.lock().unwrap().remove(token);
             let Some(conn) = conn else { continue };
             let inflight = inner.inflight.fetch_add(1, Ordering::SeqCst) + 1;
             if let Some(h) = inner.obs() {

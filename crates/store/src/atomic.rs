@@ -57,18 +57,16 @@ pub fn write_atomic_json(dest: &Path, doc: &Json) -> Result<(), Error> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::path::PathBuf;
+    use ats_testutil::TempDir;
 
-    fn tmp_dir(tag: &str) -> PathBuf {
-        let dir = std::env::temp_dir().join(format!("ats-store-atomic-{}-{tag}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        dir
+    fn tmp_dir(tag: &str) -> TempDir {
+        TempDir::new(&format!("ats-store-atomic-{tag}"))
     }
 
     #[test]
     fn writes_and_replaces_without_leftover_temp_files() {
         let dir = tmp_dir("basic");
-        let dest = dir.join("nested/artifact.json");
+        let dest = dir.file("nested/artifact.json");
         write_atomic(&dest, b"v1").unwrap();
         assert_eq!(fs::read(&dest).unwrap(), b"v1");
         write_atomic(&dest, b"v2-longer").unwrap();
@@ -78,13 +76,12 @@ mod tests {
             .map(|e| e.unwrap().file_name())
             .collect();
         assert_eq!(names.len(), 1, "temp files left behind: {names:?}");
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn concurrent_writers_to_one_dest_never_corrupt() {
         let dir = tmp_dir("race");
-        let dest = dir.join("contended.bin");
+        let dest = dir.file("contended.bin");
         write_atomic(&dest, &[0u8; 64]).unwrap();
         std::thread::scope(|s| {
             for b in 1..=4u8 {
@@ -100,17 +97,15 @@ mod tests {
         let got = fs::read(&dest).unwrap();
         assert_eq!(got.len(), 64);
         assert!(got.iter().all(|&x| x == got[0]), "torn write: {got:?}");
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn json_helper_round_trips() {
         let dir = tmp_dir("json");
-        let dest = dir.join("doc.json");
+        let dest = dir.file("doc.json");
         write_atomic_json(&dest, &Json::obj().with("n", 3u64)).unwrap();
         let text = String::from_utf8(fs::read(&dest).unwrap()).unwrap();
         let doc = Json::parse(&text).unwrap();
         assert_eq!(doc.get("n").and_then(Json::as_u64), Some(3));
-        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -19,7 +19,8 @@
 //! * [`CacheKey`] — a stable 128-bit hash (two-lane [`hash::xxh64`]) of a
 //!   canonical JSON ingredients document;
 //! * [`Store`] — the sharded on-disk object tree with per-entry
-//!   manifests, checksums, an index file and atomic commit;
+//!   manifests, checksums and atomic commit; the tree is the store's
+//!   only state;
 //! * [`CacheMode`] / [`Cache`] — the `off`/`ro`/`rw` policy knob engines
 //!   thread through sweeps and fuzz campaigns;
 //! * [`atomic`] — temp-file + rename write primitives, also used by the
@@ -102,22 +103,21 @@ mod tests {
 
     #[test]
     fn cache_modes_gate_store_access() {
-        let dir = std::env::temp_dir().join(format!("ats-store-cache-{}", std::process::id()));
-        let _ = std::fs::remove_dir_all(&dir);
+        let tmp = ats_testutil::TempDir::new("ats-store-cache");
+        let dir = tmp.path();
         let ing = Json::obj().with("k", 1u64);
         let key = CacheKey::of_value(&ing);
 
-        let ro = Cache::open(&dir, CacheMode::Read).unwrap();
+        let ro = Cache::open(dir, CacheMode::Read).unwrap();
         assert_eq!(ro.publish(&key, &ing, &[("row.json", b"r")]).unwrap(), 0);
         assert!(ro.lookup(&key).unwrap().is_none());
 
-        let rw = Cache::open(&dir, CacheMode::ReadWrite).unwrap();
+        let rw = Cache::open(dir, CacheMode::ReadWrite).unwrap();
         assert!(rw.publish(&key, &ing, &[("row.json", b"r")]).unwrap() > 0);
         assert!(rw.lookup(&key).unwrap().is_some());
         assert!(ro.lookup(&key).unwrap().is_some(), "ro sees rw's entry");
 
-        let off = Cache::open(&dir, CacheMode::Off).unwrap();
+        let off = Cache::open(dir, CacheMode::Off).unwrap();
         assert!(off.lookup(&key).unwrap().is_none(), "off never reads");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

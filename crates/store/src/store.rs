@@ -4,23 +4,24 @@
 //!
 //! ```text
 //! <root>/
-//!   index.json                      # acceleration + stats (rebuildable)
 //!   objects/<kk>/<key-hex>/         # kk = first hex byte of the key
 //!     report.json  trace.atsb  …    # the entry's artifacts
 //!     entry.json                    # manifest: ingredients + checksums
 //! ```
 //!
+//! The object tree is the store's only state; [`Store::stats`] is a scan
+//! of it.
+//!
 //! Commit protocol: artifacts are written first (each atomically, temp +
 //! rename), `entry.json` last. An entry *exists* iff its `entry.json`
 //! does, so a reader can never observe a half-written entry: either the
 //! manifest is absent (miss) or it names only fully-renamed files.
+//! Removal runs the protocol backwards: `entry.json` goes first.
 //!
 //! Integrity: `entry.json` records the size and 128-bit checksum of every
 //! artifact; [`Store::get`] re-hashes what it reads and treats any
 //! mismatch as a miss (counted in the observability registry), never as
-//! silently-trusted data. The index is an acceleration structure only —
-//! lookups go straight to the object tree, so a stale or deleted
-//! `index.json` can cost statistics but never correctness.
+//! silently-trusted data.
 
 use crate::atomic::{write_atomic, write_atomic_json};
 use crate::json::Json;
@@ -29,12 +30,9 @@ use ats_core::Error;
 use std::collections::BTreeMap;
 use std::fs;
 use std::path::{Path, PathBuf};
-use std::sync::{Arc, Mutex};
 
 /// Schema tag of `entry.json` documents.
 const ENTRY_SCHEMA: &str = "ats-store-entry/1";
-/// Schema tag of `index.json`.
-const INDEX_SCHEMA: &str = "ats-store-index/1";
 
 /// Size and checksum of one stored artifact, as recorded in `entry.json`.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -130,7 +128,7 @@ impl StoredEntry {
     }
 }
 
-/// Aggregate store statistics (from the index).
+/// Aggregate store statistics (a scan of the object tree).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreStats {
     /// Number of committed entries.
@@ -139,104 +137,27 @@ pub struct StoreStats {
     pub bytes: u64,
 }
 
-#[derive(Debug, Clone)]
-struct IndexEntry {
-    bytes: u64,
-    files: Vec<String>,
-}
-
-#[derive(Debug, Clone, Default)]
-struct Index {
-    entries: BTreeMap<String, IndexEntry>,
-}
-
-impl Index {
-    fn to_json(&self) -> Json {
-        let mut entries = Json::obj();
-        for (key, e) in &self.entries {
-            entries.set(
-                key,
-                Json::obj()
-                    .with("bytes", e.bytes)
-                    .with("files", e.files.iter().map(|f| Json::from(f.as_str())).collect::<Vec<_>>()),
-            );
-        }
-        Json::obj()
-            .with("schema", INDEX_SCHEMA)
-            .with("entries", entries)
-    }
-
-    fn from_text(text: &str) -> Result<Index, String> {
-        let doc = Json::parse(text)?;
-        if doc.get("schema").and_then(Json::as_str) != Some(INDEX_SCHEMA) {
-            return Err("unrecognized index schema".into());
-        }
-        let mut index = Index::default();
-        for (key, e) in doc.get("entries").and_then(Json::as_obj).ok_or("missing entries")? {
-            let files = e
-                .get("files")
-                .and_then(Json::as_arr)
-                .ok_or("missing files")?
-                .iter()
-                .filter_map(|f| f.as_str().map(str::to_owned))
-                .collect();
-            index.entries.insert(
-                key.clone(),
-                IndexEntry {
-                    bytes: e.get("bytes").and_then(Json::as_u64).ok_or("missing bytes")?,
-                    files,
-                },
-            );
-        }
-        Ok(index)
-    }
-}
-
-#[derive(Debug)]
-struct Inner {
-    root: PathBuf,
-    index: Mutex<Index>,
-}
-
-/// A handle to one on-disk store. Cloning shares the same root and
-/// in-process index; all methods are safe to call from pool workers
+/// A handle to one on-disk store. It holds no state beyond the root
+/// path, so clones and handles opened by other processes all see the
+/// same entries; all methods are safe to call from pool workers
 /// concurrently.
 #[derive(Debug, Clone)]
 pub struct Store {
-    inner: Arc<Inner>,
+    root: PathBuf,
     obs: Option<ats_obs::Handle>,
 }
 
 impl Store {
-    /// Open (creating if needed) the store rooted at `root`. An existing
-    /// `index.json` is loaded; if it is missing or unreadable but
-    /// committed objects exist (say, after a crash between commit and
-    /// index update), the index is rebuilt by scanning the object tree.
+    /// Open (creating if needed) the store rooted at `root`.
     pub fn open(root: impl AsRef<Path>) -> Result<Store, Error> {
         let root = root.as_ref().to_path_buf();
         fs::create_dir_all(root.join("objects"))
             .map_err(|e| Error::store(format!("create {}: {e}", root.display())))?;
-        let index_path = root.join("index.json");
-        let index = match fs::read_to_string(&index_path) {
-            Ok(text) => match Index::from_text(&text) {
-                Ok(index) => index,
-                // A torn or stale index is repairable, not fatal.
-                Err(_) => rebuild_index(&root)?,
-            },
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => rebuild_index(&root)?,
-            Err(e) => return Err(Error::store(format!("read {}: {e}", index_path.display()))),
-        };
-        Ok(Store {
-            inner: Arc::new(Inner {
-                root,
-                index: Mutex::new(index),
-            }),
-            obs: None,
-        })
+        Ok(Store { root, obs: None })
     }
 
     /// This store, recording hit/miss/byte counters into `obs` (`None`
-    /// detaches). The underlying root and index stay shared.
+    /// detaches).
     pub fn with_obs(mut self, obs: Option<ats_obs::Handle>) -> Store {
         self.obs = obs;
         self
@@ -244,15 +165,11 @@ impl Store {
 
     /// The store's root directory.
     pub fn root(&self) -> &Path {
-        &self.inner.root
+        &self.root
     }
 
     fn entry_dir(&self, key: &CacheKey) -> PathBuf {
-        self.inner
-            .root
-            .join("objects")
-            .join(key.shard())
-            .join(key.hex())
+        self.root.join("objects").join(key.shard()).join(key.hex())
     }
 
     /// Is an entry committed under `key`? (Manifest presence only — no
@@ -321,9 +238,8 @@ impl Store {
     }
 
     /// Commit `files` under `key`. Artifacts are written atomically, the
-    /// `entry.json` manifest last (the commit point), then the index is
-    /// updated. Re-putting an existing key replaces it. Returns total
-    /// artifact bytes written.
+    /// `entry.json` manifest last (the commit point). Re-putting an
+    /// existing key replaces it. Returns total artifact bytes written.
     pub fn put(
         &self,
         key: &CacheKey,
@@ -353,17 +269,6 @@ impl Store {
             files: metas,
         };
         write_atomic_json(&dir.join("entry.json"), &doc.to_json())?;
-        {
-            let mut index = self.inner.index.lock().expect("index lock");
-            index.entries.insert(
-                key.hex(),
-                IndexEntry {
-                    bytes: total,
-                    files: doc.files.keys().cloned().collect(),
-                },
-            );
-            write_atomic_json(&self.inner.root.join("index.json"), &index.to_json())?;
-        }
         if let Some(obs) = &self.obs {
             obs.store.puts.inc();
             obs.store.bytes_written.add(total);
@@ -371,110 +276,65 @@ impl Store {
         Ok(total)
     }
 
-    /// Remove the entry under `key` (from disk and index). Returns
-    /// whether anything was removed.
+    /// Remove the entry under `key`. Returns whether anything was
+    /// removed.
+    ///
+    /// `entry.json` is deleted first, so the entry is uncommitted before
+    /// any artifact goes: a `get` racing the removal sees a plain miss,
+    /// never a manifest naming a deleted artifact.
     pub fn remove(&self, key: &CacheKey) -> Result<bool, Error> {
         let dir = self.entry_dir(key);
-        let existed = dir.is_dir();
-        if existed {
-            fs::remove_dir_all(&dir)
-                .map_err(|e| Error::store(format!("remove {}: {e}", dir.display())))?;
+        if !dir.is_dir() {
+            return Ok(false);
         }
-        let mut index = self.inner.index.lock().expect("index lock");
-        if index.entries.remove(&key.hex()).is_some() || existed {
-            write_atomic_json(&self.inner.root.join("index.json"), &index.to_json())?;
+        let manifest = dir.join("entry.json");
+        match fs::remove_file(&manifest) {
+            Ok(()) => {}
+            Err(e) if e.kind() == std::io::ErrorKind::NotFound => {}
+            Err(e) => return Err(Error::store(format!("remove {}: {e}", manifest.display()))),
         }
-        Ok(existed)
+        fs::remove_dir_all(&dir)
+            .map_err(|e| Error::store(format!("remove {}: {e}", dir.display())))?;
+        Ok(true)
     }
 
-    /// Committed entry count (from the index).
-    pub fn len(&self) -> usize {
-        self.inner.index.lock().expect("index lock").entries.len()
-    }
-
-    /// Is the store empty?
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// All committed keys, sorted (from the index).
-    pub fn keys(&self) -> Vec<CacheKey> {
-        self.inner
-            .index
-            .lock()
-            .expect("index lock")
-            .entries
-            .keys()
-            .filter_map(|k| CacheKey::from_hex(k))
-            .collect()
-    }
-
-    /// Aggregate statistics (from the index).
+    /// Aggregate statistics over the committed entries: those whose
+    /// `entry.json` parses. Unreadable directories count as empty.
     pub fn stats(&self) -> StoreStats {
-        let index = self.inner.index.lock().expect("index lock");
-        StoreStats {
-            entries: index.entries.len(),
-            bytes: index.entries.values().map(|e| e.bytes).sum(),
-        }
-    }
-
-    /// Re-scan the object tree and rewrite the index from what is
-    /// actually committed — the repair path for a crashed writer or an
-    /// externally-modified store.
-    pub fn rebuild_index(&self) -> Result<StoreStats, Error> {
-        let rebuilt = rebuild_index(&self.inner.root)?;
-        let stats = StoreStats {
-            entries: rebuilt.entries.len(),
-            bytes: rebuilt.entries.values().map(|e| e.bytes).sum(),
+        let mut stats = StoreStats {
+            entries: 0,
+            bytes: 0,
         };
-        let mut index = self.inner.index.lock().expect("index lock");
-        *index = rebuilt;
-        write_atomic_json(&self.inner.root.join("index.json"), &index.to_json())?;
-        Ok(stats)
-    }
-}
-
-/// Scan `objects/` for committed entries (those with a parseable
-/// `entry.json`) and build a fresh index.
-fn rebuild_index(root: &Path) -> Result<Index, Error> {
-    let mut index = Index::default();
-    let objects = root.join("objects");
-    let shards = match fs::read_dir(&objects) {
-        Ok(rd) => rd,
-        Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(index),
-        Err(e) => return Err(Error::store(format!("read {}: {e}", objects.display()))),
-    };
-    for shard in shards.filter_map(|e| e.ok()) {
-        let Ok(entries) = fs::read_dir(shard.path()) else {
-            continue;
+        let Ok(shards) = fs::read_dir(self.root.join("objects")) else {
+            return stats;
         };
-        for entry in entries.filter_map(|e| e.ok()) {
-            let Ok(text) = fs::read_to_string(entry.path().join("entry.json")) else {
+        for shard in shards.filter_map(|e| e.ok()) {
+            let Ok(entries) = fs::read_dir(shard.path()) else {
                 continue;
             };
-            let Ok(doc) = EntryDoc::from_text(&text) else {
-                continue;
-            };
-            index.entries.insert(
-                doc.key.clone(),
-                IndexEntry {
-                    bytes: doc.files.values().map(|m| m.bytes).sum(),
-                    files: doc.files.keys().cloned().collect(),
-                },
-            );
+            for entry in entries.filter_map(|e| e.ok()) {
+                let Ok(text) = fs::read_to_string(entry.path().join("entry.json")) else {
+                    continue;
+                };
+                let Ok(doc) = EntryDoc::from_text(&text) else {
+                    continue;
+                };
+                stats.entries += 1;
+                stats.bytes += doc.files.values().map(|m| m.bytes).sum::<u64>();
+            }
         }
+        stats
     }
-    Ok(index)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ats_testutil::TempDir;
 
-    fn tmp_store(tag: &str) -> (PathBuf, Store) {
-        let dir = std::env::temp_dir().join(format!("ats-store-{}-{tag}", std::process::id()));
-        let _ = fs::remove_dir_all(&dir);
-        let store = Store::open(&dir).unwrap();
+    fn tmp_store(tag: &str) -> (TempDir, Store) {
+        let dir = TempDir::new(&format!("ats-store-{tag}"));
+        let store = Store::open(dir.path()).unwrap();
         (dir, store)
     }
 
@@ -484,7 +344,7 @@ mod tests {
 
     #[test]
     fn put_get_round_trip_with_integrity() {
-        let (dir, store) = tmp_store("roundtrip");
+        let (_dir, store) = tmp_store("roundtrip");
         let key = CacheKey::of_value(&ingredients(1));
         assert!(store.get(&key).unwrap().is_none());
         assert!(!store.contains(&key));
@@ -504,9 +364,7 @@ mod tests {
         assert_eq!(entry.file("trace.atsb"), Some(b"ATSB\x01".as_slice()));
         assert_eq!(entry.bytes, 7);
         assert_eq!(entry.ingredients, ingredients(1));
-        assert_eq!(store.len(), 1);
         assert_eq!(store.stats(), StoreStats { entries: 1, bytes: 7 });
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -520,6 +378,7 @@ mod tests {
             .unwrap();
         // Flip a byte on disk.
         let path = dir
+            .path()
             .join("objects")
             .join(key.shard())
             .join(key.hex())
@@ -536,11 +395,10 @@ mod tests {
             .put(&key, &ingredients(2), &[("report.json", b"payload")])
             .unwrap();
         assert!(store.get(&key).unwrap().is_some());
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
-    fn reopening_and_rebuilding_preserve_entries() {
+    fn reopening_preserves_entries() {
         let (dir, store) = tmp_store("reopen");
         let keys: Vec<CacheKey> = (0..4)
             .map(|n| {
@@ -553,28 +411,20 @@ mod tests {
             .collect();
         drop(store);
 
-        // Reopen with the index present.
-        let reopened = Store::open(&dir).unwrap();
-        assert_eq!(reopened.len(), 4);
-        // Delete the index: open() rebuilds from the object tree.
-        fs::remove_file(dir.join("index.json")).unwrap();
-        let rebuilt = Store::open(&dir).unwrap();
-        assert_eq!(rebuilt.len(), 4);
-        let mut expected: Vec<CacheKey> = keys.clone();
-        expected.sort();
-        assert_eq!(rebuilt.keys(), expected);
-        for key in &keys {
-            assert!(rebuilt.get(key).unwrap().is_some());
+        // A leftover index file from an older store layout is ignored.
+        fs::write(dir.file("index.json"), b"{\"schema\": \"ats-st").unwrap();
+        let reopened = Store::open(dir.path()).unwrap();
+        for (n, key) in keys.iter().enumerate() {
+            let entry = reopened.get(key).unwrap().expect("entry survives reopen");
+            assert_eq!(entry.file("row.json"), Some(format!("{n}").as_bytes()));
         }
-        // A torn index is repaired on open, not fatal.
-        fs::write(dir.join("index.json"), b"{\"schema\": \"ats-st").unwrap();
-        assert_eq!(Store::open(&dir).unwrap().len(), 4);
-        let _ = fs::remove_dir_all(&dir);
+        let stats = reopened.stats();
+        assert_eq!((stats.entries, stats.bytes), (4, 4));
     }
 
     #[test]
-    fn remove_deletes_entry_and_index_row() {
-        let (dir, store) = tmp_store("remove");
+    fn remove_deletes_the_entry() {
+        let (_dir, store) = tmp_store("remove");
         let key = CacheKey::of_value(&ingredients(9));
         store
             .put(&key, &ingredients(9), &[("row.json", b"x")])
@@ -582,14 +432,33 @@ mod tests {
         assert!(store.remove(&key).unwrap());
         assert!(!store.contains(&key));
         assert!(store.get(&key).unwrap().is_none());
-        assert_eq!(store.len(), 0);
+        assert_eq!(store.stats().entries, 0);
         assert!(!store.remove(&key).unwrap());
-        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_object_tree_is_the_only_state() {
+        let (dir, store) = tmp_store("only-objects");
+        for n in 0..3 {
+            let key = CacheKey::of_value(&ingredients(n));
+            store
+                .put(&key, &ingredients(n), &[("row.json", b"r")])
+                .unwrap();
+            if n % 2 == 0 {
+                store.remove(&key).unwrap();
+            }
+        }
+        let names: Vec<_> = fs::read_dir(dir.path())
+            .unwrap()
+            .map(|e| e.unwrap().file_name())
+            .collect();
+        assert_eq!(names, ["objects"]);
+        assert_eq!(store.stats().entries, 1);
     }
 
     #[test]
     fn invalid_artifact_names_are_rejected() {
-        let (dir, store) = tmp_store("names");
+        let (_dir, store) = tmp_store("names");
         let key = CacheKey::of_bytes(b"k");
         for bad in ["", "a/b", "entry.json", "..\\x"] {
             assert!(
@@ -597,12 +466,11 @@ mod tests {
                 "{bad:?} accepted"
             );
         }
-        let _ = fs::remove_dir_all(&dir);
     }
 
     #[test]
     fn concurrent_puts_and_gets_stay_consistent() {
-        let (dir, store) = tmp_store("parallel");
+        let (_dir, store) = tmp_store("parallel");
         std::thread::scope(|s| {
             for t in 0..4u64 {
                 let store = store.clone();
@@ -618,7 +486,6 @@ mod tests {
                 });
             }
         });
-        assert_eq!(store.len(), 40);
-        let _ = fs::remove_dir_all(&dir);
+        assert_eq!(store.stats().entries, 40);
     }
 }

@@ -93,8 +93,10 @@ fn single_parameter_change_invalidates_only_affected_combos() {
 fn analyzer_change_invalidates_every_combo() {
     let dir = store_dir("analyzer");
     let sweep = |threshold: f64| {
-        let mut analyzer = ats::analyzer::AnalyzerConfig::default();
-        analyzer.threshold = threshold;
+        let analyzer = ats::analyzer::AnalyzerConfig {
+            threshold,
+            ..Default::default()
+        };
         Experiment::new("late_sender")
             .sweep(Sweep::seconds("extrawork", [0.005, 0.01]))
             .opts(RunOpts::default().procs(2).jobs(1))
