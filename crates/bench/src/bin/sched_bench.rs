@@ -7,7 +7,7 @@
 //! the world at a barrier, an allreduce, a rotating-root reduce, and a
 //! closing barrier; every fourth round adds a rendezvous (`MPI_Ssend`)
 //! neighbor exchange. All virtual-time, so wall clock is pure simulator
-//! + scheduler cost. Collectives dominate deliberately: each one wakes
+//! plus scheduler cost. Collectives dominate deliberately: each one wakes
 //! all P members, which is where the two backends differ most (a condvar
 //! broadcast of P OS threads vs P user-space heap pops).
 //!
@@ -84,7 +84,7 @@ fn body(p: &mut Proc, rounds: usize) {
             let src = (me + n - 1) % n;
             // Odd ranks receive first so the rendezvous ring cannot
             // deadlock at any size.
-            if me % 2 == 0 {
+            if me.is_multiple_of(2) {
                 p.ssend(&[round as u8], dst, 1, &world);
                 let _ = p.recv(src, 1, &world);
             } else {

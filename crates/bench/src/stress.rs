@@ -78,7 +78,7 @@ impl StressConfig {
     fn rank_event_count(&self, rank: u32) -> u64 {
         // main enter/exit + work pairs + p2p (3 events when paired) +
         // collective reps (3 events per barrier + 3 per bcast).
-        let paired = self.ranks % 2 == 0 || rank + 1 < self.ranks;
+        let paired = self.ranks.is_multiple_of(2) || rank + 1 < self.ranks;
         2 + self.reps * (2 * self.inner + if paired { 3 } else { 0 }) + self.coll_reps() * 6
     }
 
@@ -139,7 +139,7 @@ pub fn stress_location(cfg: &StressConfig, rank: u32) -> LocationTrace {
         }
         let p2p = rep + 2 * cfg.inner * WORK;
         let tag = (k % 1_000) as i32;
-        if rank % 2 == 0 && rank + 1 < n {
+        if rank.is_multiple_of(2) && rank + 1 < n {
             // Sender: posts late relative to the neighbor's receive.
             let post = p2p + 100 + SEND_LATENESS + (rank as u64 % 4) * 500;
             push(&mut ev, p2p + 100, EventKind::Enter { region: R_SEND });

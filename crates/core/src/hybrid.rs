@@ -14,7 +14,6 @@ use ats_runtime::{MachineModel, VTime, WorkMode};
 use ats_trace::{LocalTrace, LocationId, TraceCollector};
 use std::sync::atomic::AtomicU32;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// An MPI rank acting as the master of OpenMP parallel regions.
 pub struct HybridMaster<'a> {
@@ -61,9 +60,6 @@ impl Master for HybridMaster<'_> {
     }
     fn criticals(&self) -> Arc<CriticalSpace> {
         self.criticals.clone()
-    }
-    fn timeout(&self) -> Duration {
-        self.proc.timeout()
     }
 }
 

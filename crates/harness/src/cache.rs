@@ -200,10 +200,9 @@ mod tests {
             ),
             (
                 "model",
-                config_key("late_sender", "basework=0.01 extrawork=0.04 r=3", 8, &{
-                    let mut o = RunOpts::default();
-                    o.model = MachineModel::default();
-                    o
+                config_key("late_sender", "basework=0.01 extrawork=0.04 r=3", 8, &RunOpts {
+                    model: MachineModel::default(),
+                    ..Default::default()
                 }, &analyzer),
             ),
             (
@@ -216,10 +215,9 @@ mod tests {
             ),
             (
                 "work_mode",
-                config_key("late_sender", "basework=0.01 extrawork=0.04 r=3", 8, &{
-                    let mut o = RunOpts::default();
-                    o.work_mode = WorkMode::Real;
-                    o
+                config_key("late_sender", "basework=0.01 extrawork=0.04 r=3", 8, &RunOpts {
+                    work_mode: WorkMode::Real,
+                    ..Default::default()
                 }, &analyzer),
             ),
             (
@@ -250,10 +248,9 @@ mod tests {
             ),
             (
                 "report_setup_overhead",
-                config_key("late_sender", "basework=0.01 extrawork=0.04 r=3", 8, &opts, &{
-                    let mut a = AnalyzerConfig::default();
-                    a.report_setup_overhead = true;
-                    a
+                config_key("late_sender", "basework=0.01 extrawork=0.04 r=3", 8, &opts, &AnalyzerConfig {
+                    report_setup_overhead: true,
+                    ..Default::default()
                 }),
             ),
         ];

@@ -664,7 +664,7 @@ mod tests {
                 .sweep(Sweep::seconds("extrawork", [0.005, 0.01]))
                 .procs_grid([2, 4])
                 .opts(RunOpts::default().jobs(1))
-                .cache(Cache::open(&dir, mode).unwrap())
+                .cache(Cache::open(dir, mode).unwrap())
         };
         let (cold_rows, cold) = exp(CacheMode::ReadWrite).run_with_stats().unwrap();
         assert_eq!(cold.cache_mode, "rw");
@@ -696,7 +696,7 @@ mod tests {
             Experiment::new("late_sender")
                 .sweep(Sweep::seconds("extrawork", extras))
                 .opts(RunOpts::default().procs(2).jobs(1))
-                .cache(Cache::open(&dir, CacheMode::ReadWrite).unwrap())
+                .cache(Cache::open(dir, CacheMode::ReadWrite).unwrap())
         };
         let (_, cold) = exp([0.005, 0.01]).run_with_stats().unwrap();
         assert_eq!((cold.cache_hits, cold.cache_misses), (0, 2));
@@ -719,7 +719,7 @@ mod tests {
             Experiment::new("late_sender")
                 .sweep(Sweep::seconds("extrawork", [0.005, 0.01, 0.02]))
                 .opts(RunOpts::default().procs(2).jobs(jobs))
-                .cache(Cache::open(&dir, CacheMode::ReadWrite).unwrap())
+                .cache(Cache::open(dir, CacheMode::ReadWrite).unwrap())
         };
         let (cold_rows, _) = exp(1).run_with_stats().unwrap();
         let (warm_rows, warm) = exp(4).run_with_stats().unwrap();

@@ -361,7 +361,7 @@ mod tests {
             Session::builder()
                 .procs(2)
                 .cache(mode)
-                .cache_dir(&dir)
+                .cache_dir(dir)
                 .build()
         };
         let off = Session::builder().procs(2).build();

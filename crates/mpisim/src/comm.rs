@@ -9,11 +9,9 @@
 //! upper halves of `MPI_COMM_WORLD` run different property functions in
 //! parallel.
 
-use ats_runtime::sched::WaitSet;
 use ats_runtime::sync::Unpoison;
-use ats_runtime::VTime;
-use std::sync::Arc;
-use std::sync::{Mutex, MutexGuard};
+use ats_runtime::{Rendezvous, VTime};
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// One member's contribution to a collective operation.
@@ -28,28 +26,15 @@ pub struct Contrib {
     pub counts: Option<Vec<usize>>,
 }
 
-#[derive(Debug)]
-struct SlotState {
-    filling: bool,
-    arrived: usize,
-    departed: usize,
-    contribs: Vec<Option<Contrib>>,
-    /// Built once by the last arriver of a round and shared by every
-    /// member — O(P) per collective instead of the O(P²) of per-member
-    /// cloning, which is what makes 8k-rank collectives feasible.
-    published: Option<Arc<Vec<Contrib>>>,
-    seq: u64,
-}
-
 /// The rendezvous through which all members of a communicator exchange
-/// collective contributions. One logical collective = one `exchange` call
-/// per member; the slot hands every member a shared view of the full
+/// collective contributions, plus per-round memos of what every member
+/// derives from them. One logical collective = one `exchange` call per
+/// member; the slot hands every member a shared view of the full
 /// contribution vector and a per-communicator sequence number identifying
 /// the operation instance.
 #[derive(Debug)]
 pub struct CollSlot {
-    state: Mutex<SlotState>,
-    ws: WaitSet,
+    rendezvous: Rendezvous<Contrib>,
     /// Single-entry memo of the exit-time vector for the most recent
     /// collective round (keyed by `seq`): the LogGP stage walk runs once
     /// per collective, not once per member.
@@ -63,74 +48,30 @@ pub struct CollSlot {
 impl CollSlot {
     fn new(size: usize) -> Self {
         CollSlot {
-            state: Mutex::new(SlotState {
-                filling: true,
-                arrived: 0,
-                departed: 0,
-                contribs: vec![None; size],
-                published: None,
-                seq: 0,
-            }),
-            ws: WaitSet::new(),
+            rendezvous: Rendezvous::new(size, "MPI collective"),
             exits: Mutex::new(None),
             combined: Mutex::new(None),
         }
     }
 
-    /// Deposit `contrib` as member `me` of `size` and return the sequence
-    /// number of this collective plus a shared view of everyone's
-    /// contributions. `now` is the member's virtual clock on entry.
+    /// Deposit `contrib` as member `me` and return the sequence number of
+    /// this collective plus a shared view of everyone's contributions.
+    /// `now` is the member's virtual clock on entry.
     ///
     /// # Panics
-    /// Panics if not all members arrive within `timeout` (collective
-    /// deadlock / mismatched membership), or if `me` deposits twice in one
-    /// round (program error).
+    /// On a rank thread, panics if not all members arrive within `timeout`
+    /// (collective deadlock / mismatched membership); in a scheduler task
+    /// the scheduler reports the deadlock at once. Also panics if `me`
+    /// deposits twice in one round (program error).
     pub fn exchange(
         &self,
         me: usize,
-        size: usize,
         contrib: Contrib,
         now: VTime,
         timeout: Duration,
     ) -> (u64, Arc<Vec<Contrib>>) {
-        let deadline = Instant::now() + timeout;
-        let mut st = self.state.lock().unpoison();
-        // Wait out the drain phase of a previous collective.
-        while !st.filling {
-            st = self.wait_or_deadlock(st, deadline, now, size);
-        }
-        assert!(
-            st.contribs[me].is_none(),
-            "member {me} entered the same collective twice"
-        );
-        st.contribs[me] = Some(contrib);
-        st.arrived += 1;
-        if st.arrived == size {
-            st.filling = false;
-            let all: Vec<Contrib> = st
-                .contribs
-                .iter_mut()
-                .map(|c| c.take().expect("all members deposited"))
-                .collect();
-            st.published = Some(Arc::new(all));
-            self.ws.notify_all(now);
-        } else {
-            while st.filling {
-                st = self.wait_or_deadlock(st, deadline, now, size);
-            }
-        }
-        let seq = st.seq;
-        let all = st.published.clone().expect("published by the last arriver");
-        st.departed += 1;
-        if st.departed == size {
-            st.arrived = 0;
-            st.departed = 0;
-            st.published = None;
-            st.seq += 1;
-            st.filling = true;
-            self.ws.notify_all(now);
-        }
-        (seq, all)
+        self.rendezvous
+            .exchange(me, contrib, now, Some(Instant::now() + timeout))
     }
 
     /// Exit-time vector for collective round `seq`, computing it at most
@@ -162,26 +103,6 @@ impl CollSlot {
                 bytes
             }
         }
-    }
-
-    fn wait_or_deadlock<'m>(
-        &'m self,
-        st: MutexGuard<'m, SlotState>,
-        deadline: Instant,
-        now: VTime,
-        size: usize,
-    ) -> MutexGuard<'m, SlotState> {
-        let (st, timed_out) = self
-            .ws
-            .wait(&self.state, st, deadline, now, "MPI collective");
-        if timed_out {
-            panic!(
-                "collective rendezvous stalled: {}/{} members arrived before timeout \
-                 (mismatched collective call or deadlock in the simulated program?)",
-                st.arrived, size
-            );
-        }
-        st
     }
 }
 
@@ -266,7 +187,7 @@ mod tests {
                     data: vec![me as u8],
                     counts: None,
                 };
-                slot.exchange(me, 4, c, VTime::ZERO, T)
+                slot.exchange(me, c, VTime::ZERO, T)
             }));
         }
         for h in handles {
@@ -289,7 +210,7 @@ mod tests {
             handles.push(thread::spawn(move || {
                 let mut seqs = Vec::new();
                 for _ in 0..5 {
-                    let (seq, _) = slot.exchange(me, 2, Contrib::default(), VTime::ZERO, T);
+                    let (seq, _) = slot.exchange(me, Contrib::default(), VTime::ZERO, T);
                     seqs.push(seq);
                 }
                 seqs
@@ -306,7 +227,6 @@ mod tests {
         let slot = CollSlot::new(2);
         slot.exchange(
             0,
-            2,
             Contrib::default(),
             VTime::ZERO,
             Duration::from_millis(50),

@@ -46,7 +46,7 @@ impl Handshake {
         while slot.is_none() {
             let (guard, timed_out) =
                 self.ws
-                    .wait(&self.slot, slot, deadline, now, "rendezvous send");
+                    .wait(&self.slot, slot, Some(deadline), now, "rendezvous send");
             slot = guard;
             if timed_out {
                 panic!(
@@ -211,7 +211,9 @@ impl Mailbox {
                 }
                 return (si, q.remove(pos).expect("position came from iteration"));
             }
-            let (guard, timed_out) = self.ws.wait(&self.queue, q, deadline, now, "MPI receive");
+            let (guard, timed_out) =
+                self.ws
+                    .wait(&self.queue, q, Some(deadline), now, "MPI receive");
             q = guard;
             if timed_out {
                 panic!(
@@ -330,6 +332,7 @@ mod tests {
         let got = Mutex::new(None);
         sched::run_tasks(
             128 * 1024,
+            "test",
             vec![
                 Box::new(|| {
                     let e = mb.take_match(
@@ -408,6 +411,7 @@ mod tests {
         let seen = Mutex::new(None);
         sched::run_tasks(
             128 * 1024,
+            "test",
             vec![
                 Box::new(|| *seen.lock().unpoison() = Some(h.await_receiver(VTime::ZERO, T))),
                 Box::new(|| {

@@ -17,7 +17,6 @@ use ats_runtime::{MachineModel, VDur, VTime, WorkEngine, WorkMode};
 use ats_trace::{CollOp, LocalTrace, LocationId, RegionId, RegionKind, TraceCollector};
 use std::sync::atomic::AtomicU32;
 use std::sync::Arc;
-use std::time::Duration;
 
 /// Handle to one simulated MPI process. See the module docs.
 pub struct Proc {
@@ -155,11 +154,6 @@ impl Proc {
     /// The run's real-work calibration, if any.
     pub fn calibration(&self) -> Option<f64> {
         self.calibration
-    }
-
-    /// The run's deadlock budget.
-    pub fn timeout(&self) -> Duration {
-        self.world.timeout
     }
 
     /// Synchronization-context id allocator for OpenMP teams forked from
@@ -550,7 +544,6 @@ impl Proc {
         let my_bytes = data.len() as u64;
         let (seq, all) = comm.shared.slot.exchange(
             comm.rank(),
-            comm.size(),
             Contrib {
                 entry,
                 data,
@@ -873,7 +866,6 @@ impl Proc {
         payload.extend_from_slice(&key.to_le_bytes());
         let (seq, all) = comm.shared.slot.exchange(
             comm.rank(),
-            comm.size(),
             Contrib {
                 entry,
                 data: payload,
@@ -952,7 +944,6 @@ impl Proc {
         let comm = self.comm_world();
         let (_, all) = comm.shared.slot.exchange(
             comm.rank(),
-            comm.size(),
             Contrib {
                 entry,
                 data: Vec::new(),

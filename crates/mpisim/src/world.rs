@@ -252,7 +252,11 @@ where
             }) as Box<dyn FnOnce() + '_>
         })
         .collect();
-    let stats = sched::run_tasks(config.task_stack_bytes, tasks);
+    let stats = sched::run_tasks(
+        config.task_stack_bytes,
+        "SimConfig::task_stack_bytes",
+        tasks,
+    );
     if let Some(obs) = &config.obs {
         obs.mpi.sched_events.add(stats.events);
         obs.mpi

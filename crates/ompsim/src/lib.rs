@@ -12,12 +12,14 @@
 //! implements OpenMP's execution model directly, on the same virtual-time
 //! discipline as the MPI substrate:
 //!
-//! * [`parallel`] forks real OS threads at `clock + fork_overhead` and
-//!   joins them at `max(end clocks) + join_overhead`;
+//! * [`parallel`] runs the team as tasks of the discrete-event scheduler,
+//!   starting at `clock + fork_overhead` and joining at
+//!   `max(end clocks) + join_overhead`;
 //! * barriers release everyone at the last arriver (plus a log-tree cost);
 //! * dynamic/guided loops dispense chunks by greedy list scheduling over
 //!   *virtual* time, so schedules are host-independent;
-//! * critical sections serialize contenders in virtual time.
+//! * critical sections and locks go to contenders in virtual arrival
+//!   order and serialize them in virtual time.
 //!
 //! Anything that can host a region implements [`Master`] — the standalone
 //! [`SeqMaster`], a simulated MPI rank (via `ats-core`'s hybrid wrapper),
@@ -36,7 +38,6 @@
 //! assert_eq!(trace.num_locations(), 4);
 //! ```
 
-pub mod exchange;
 pub mod master;
 pub mod team;
 pub mod thread;

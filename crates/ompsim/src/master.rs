@@ -6,13 +6,16 @@
 //! nested parallelism. The [`Master`] trait captures exactly what the fork
 //! machinery needs; keeping it a trait is what lets the suite compose MPI ×
 //! OpenMP test programs without coupling the two substrate crates.
+//!
+//! A team runs as a scheduler run nested in the master's own context, so
+//! any of these masters can host it the same way: nothing in the trait
+//! concerns threads or real-time deadlines.
 
 use crate::team::CriticalSpace;
 use ats_runtime::{MachineModel, VDur, VTime, WorkEngine, WorkMode};
 use ats_trace::{LocalTrace, LocationId, RegionKind, Trace, TraceCollector};
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// A sequential context able to host parallel regions.
 pub trait Master {
@@ -45,8 +48,6 @@ pub trait Master {
     fn thread_ids(&self) -> Arc<AtomicU32>;
     /// The process's named-critical space.
     fn criticals(&self) -> Arc<CriticalSpace>;
-    /// Deadlock budget.
-    fn timeout(&self) -> Duration;
 
     /// Allocate one synchronization-context id.
     fn alloc_sync_id(&self) -> u32 {
@@ -65,8 +66,6 @@ pub struct OmpConfig {
     pub seed: u64,
     /// Record a trace?
     pub instrumented: bool,
-    /// Deadlock budget.
-    pub timeout: Duration,
     /// Real-work calibration.
     pub calibration: Option<f64>,
     /// Event-buffer pool for the run's threads (`None` = fresh vectors).
@@ -81,7 +80,6 @@ impl Default for OmpConfig {
             work_mode: WorkMode::Virtual,
             seed: 0x0907_5EED,
             instrumented: true,
-            timeout: Duration::from_secs(30),
             calibration: None,
             trace_pool: None,
         }
@@ -190,9 +188,6 @@ impl Master for SeqMaster {
     }
     fn criticals(&self) -> Arc<CriticalSpace> {
         self.criticals.clone()
-    }
-    fn timeout(&self) -> Duration {
-        self.config.timeout
     }
 }
 

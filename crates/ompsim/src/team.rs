@@ -1,22 +1,19 @@
 //! Shared thread-team state: barriers, deterministic worksharing
 //! dispensers, and virtual critical sections.
 //!
-//! Team synchronization uses OS condvars, not the discrete-event
-//! scheduler: team members are real OS threads even when the enclosing
-//! MPI rank is a coroutine on `ats_runtime::sched` (the hybrid harness
-//! mode). A master blocking here parks the scheduler's worker thread for
-//! the duration of the rendezvous, which is benign — team members never
-//! call into MPI or the scheduler, so no scheduler progress is required
-//! while the master waits, and virtual-time results are unchanged.
+//! Team members are tasks of one discrete-event scheduler run (see
+//! [`crate::parallel`]), so every wait here goes through a [`WaitSet`] and
+//! suspends the member cooperatively. A team that cannot make progress is
+//! a structural deadlock, reported at once by the scheduler with the
+//! construct each member is blocked in; no wall-clock budget is involved.
 
-use crate::exchange::ExchangeSlot;
+use ats_runtime::sched::{self, WaitSet};
 use ats_runtime::sync::Unpoison;
-use ats_runtime::{MachineModel, VDur, VTime};
+use ats_runtime::{MachineModel, Rendezvous, VDur, VTime};
 use std::collections::HashMap;
 use std::sync::atomic::AtomicU32;
 use std::sync::Arc;
-use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::sync::{Mutex, MutexGuard};
 
 /// Everything the members of one parallel region share.
 #[derive(Debug)]
@@ -27,16 +24,14 @@ pub struct TeamShared {
     /// Number of threads.
     pub size: usize,
     /// Barrier/fork/join rendezvous carrying entry clocks.
-    pub barrier: ExchangeSlot<VTime>,
+    pub barrier: Rendezvous<VTime>,
     /// Reduction rendezvous carrying `(entry clock, contribution)` pairs.
-    pub reduction: ExchangeSlot<(VTime, f64)>,
+    pub reduction: Rendezvous<(VTime, f64)>,
     /// Worksharing dispensers, keyed by the team-local construct sequence
     /// number (threads reach constructs in identical SPMD order).
     pub loops: Mutex<HashMap<u64, Arc<DynSched>>>,
     /// Cost model.
     pub model: MachineModel,
-    /// Deadlock budget.
-    pub timeout: Duration,
     /// Named critical sections (shared with nested teams).
     pub criticals: Arc<CriticalSpace>,
     /// Sync-id allocator shared with nested teams.
@@ -75,14 +70,13 @@ impl TeamShared {
 ///
 /// Chunks are assigned by greedy list scheduling over *virtual* time: the
 /// next chunk always goes to the participating thread with the smallest
-/// virtual clock (ties to the lowest thread id), regardless of host
-/// scheduling. To make that decidable, chunk execution is serialized in
-/// real time — harmless in virtual-work mode, and documented as the cost of
-/// reproducibility in real-work mode.
+/// virtual clock (ties to the lowest thread id). To make that decidable,
+/// one chunk executes at a time: the next grant waits until the current
+/// chunk's end clock is known.
 #[derive(Debug)]
 pub struct DynSched {
     m: Mutex<DsState>,
-    cv: Condvar,
+    ws: WaitSet,
 }
 
 #[derive(Debug)]
@@ -115,31 +109,21 @@ impl DynSched {
                 registered: 0,
                 executing: false,
             }),
-            cv: Condvar::new(),
+            ws: WaitSet::new(),
         }
     }
 
     /// Register thread `tid` (with its entry clock) as a participant.
     /// All threads must register before any chunk is granted.
-    pub fn register(&self, tid: usize, clock: VTime, timeout: Duration) {
+    pub fn register(&self, tid: usize, clock: VTime) {
         let mut st = self.m.lock().unpoison();
         st.waiting[tid] = Some(clock);
         st.registered += 1;
         if st.registered == st.waiting.len() {
-            self.cv.notify_all();
-        } else {
-            let deadline = Instant::now() + timeout;
-            while st.registered < st.waiting.len() {
-                let left = deadline.saturating_duration_since(Instant::now());
-                st = self.cv.wait_timeout(st, left).unpoison().0;
-                if Instant::now() >= deadline {
-                    panic!(
-                        "worksharing construct stalled: {}/{} threads arrived",
-                        st.registered,
-                        st.waiting.len()
-                    );
-                }
-            }
+            self.notify();
+        }
+        while st.registered < st.waiting.len() {
+            st = self.wait(st, clock);
         }
     }
 
@@ -150,39 +134,33 @@ impl DynSched {
     /// are a single atomic step, so a thread is always either *executing*
     /// (dispenser reserved) or *waiting with a current clock*; there is no
     /// window in which another thread could steal its greedy turn.
-    pub fn acquire(&self, tid: usize, clock: VTime, timeout: Duration) -> Option<Chunk> {
+    pub fn acquire(&self, tid: usize, clock: VTime) -> Option<Chunk> {
         let mut st = self.m.lock().unpoison();
         st.waiting[tid] = Some(clock);
-        self.acquire_locked(st, tid, timeout)
+        self.acquire_locked(st, tid, clock)
     }
 
     /// Atomically report completion of the previous chunk (ending at
     /// `new_clock`) and request the next one.
-    pub fn finish_and_acquire(
-        &self,
-        tid: usize,
-        new_clock: VTime,
-        timeout: Duration,
-    ) -> Option<Chunk> {
+    pub fn finish_and_acquire(&self, tid: usize, new_clock: VTime) -> Option<Chunk> {
         let mut st = self.m.lock().unpoison();
         debug_assert!(st.executing, "finish_and_acquire without a granted chunk");
         st.executing = false;
         st.waiting[tid] = Some(new_clock);
-        self.cv.notify_all();
-        self.acquire_locked(st, tid, timeout)
+        self.notify();
+        self.acquire_locked(st, tid, new_clock)
     }
 
-    fn acquire_locked(
-        &self,
-        mut st: MutexGuard<'_, DsState>,
+    fn acquire_locked<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, DsState>,
         tid: usize,
-        timeout: Duration,
+        clock: VTime,
     ) -> Option<Chunk> {
-        let deadline = Instant::now() + timeout;
         loop {
             if st.next >= st.chunks.len() {
                 st.waiting[tid] = None;
-                self.cv.notify_all();
+                self.notify();
                 return None;
             }
             let my_turn = !st.executing
@@ -201,12 +179,20 @@ impl DynSched {
                 st.waiting[tid] = None;
                 return Some(Chunk { start, end });
             }
-            let left = deadline.saturating_duration_since(Instant::now());
-            st = self.cv.wait_timeout(st, left).unpoison().0;
-            if Instant::now() >= deadline {
-                panic!("worksharing dispenser stalled (thread {tid})");
-            }
+            st = self.wait(st, clock);
         }
+    }
+
+    fn wait<'a>(&'a self, st: MutexGuard<'a, DsState>, clock: VTime) -> MutexGuard<'a, DsState> {
+        self.ws
+            .wait(&self.m, st, None, clock, "OpenMP worksharing")
+            .0
+    }
+
+    /// Wake every waiter at its own clock: a grant carries no message, so
+    /// the notifier's clock is no causal bound for the waiters.
+    fn notify(&self) {
+        self.ws.notify_all(VTime::ZERO);
     }
 }
 
@@ -263,26 +249,30 @@ impl CriticalSpace {
     }
 }
 
-/// A mutex whose contention is accounted in virtual time. The real lock is
-/// held for the whole (virtually-timed) body so that `free_at` updates are
-/// race-free; acquisition order follows host scheduling when virtual
-/// arrivals race, which leaves aggregate contention — the quantity the
-/// contention property functions program — order-insensitive for the
-/// symmetric workloads the suite generates.
+/// A mutex whose contention is accounted in virtual time.
+///
+/// Contenders obtain it in `(arrival clock, seq)` order: [`VirtualMutex::acquire`]
+/// first yields to the scheduler at the arrival clock, so a member reaches
+/// the lock only after every member with an earlier arrival (or an equal one
+/// queued before it) has had its turn. No OS lock is held across the body,
+/// which may itself switch tasks (a nested team, another critical section);
+/// a contender arriving while the body runs waits for the release.
 #[derive(Debug, Default)]
 pub struct VirtualMutex {
-    inner: Mutex<VmState>,
+    state: Mutex<VmState>,
+    ws: WaitSet,
 }
 
 #[derive(Debug, Default)]
 struct VmState {
+    held: bool,
     free_at: VTime,
     acquisitions: u64,
 }
 
 /// Guard-style handle produced by [`VirtualMutex::acquire`].
 pub struct VmGuard<'a> {
-    state: MutexGuard<'a, VmState>,
+    lock: &'a VirtualMutex,
     /// Virtual time at which the caller actually obtained the lock.
     pub start: VTime,
     /// Time spent waiting for earlier holders.
@@ -297,28 +287,44 @@ impl VirtualMutex {
 
     /// Acquire at virtual `arrival`, adding `lock_overhead`. The returned
     /// guard's `start` is when the body may begin.
+    ///
+    /// # Panics
+    /// Panics if called outside a scheduler task (team members always run
+    /// as tasks).
     pub fn acquire(&self, arrival: VTime, lock_overhead: VDur) -> VmGuard<'_> {
-        let state = self.inner.lock().unpoison();
-        let start = arrival.max(state.free_at) + lock_overhead;
+        sched::yield_at(arrival);
+        let mut st = self.state.lock().unpoison();
+        while st.held {
+            st = self
+                .ws
+                .wait(&self.state, st, None, arrival, "OpenMP lock")
+                .0;
+        }
+        st.held = true;
+        let start = arrival.max(st.free_at) + lock_overhead;
         VmGuard {
+            lock: self,
             waited: start - arrival,
             start,
-            state,
         }
     }
 
     /// Total successful acquisitions so far.
     pub fn acquisitions(&self) -> u64 {
-        self.inner.lock().unpoison().acquisitions
+        self.state.lock().unpoison().acquisitions
     }
 }
 
 impl VmGuard<'_> {
     /// Release at virtual time `end` (the clock after the critical body).
-    pub fn release(mut self, end: VTime) {
+    pub fn release(self, end: VTime) {
         debug_assert!(end >= self.start, "critical body ended before it began");
-        self.state.free_at = end;
-        self.state.acquisitions += 1;
+        let mut st = self.lock.state.lock().unpoison();
+        st.held = false;
+        st.free_at = end;
+        st.acquisitions += 1;
+        drop(st);
+        self.lock.ws.notify_all(end);
     }
 }
 
@@ -366,50 +372,80 @@ mod tests {
         }
     }
 
-    #[test]
-    fn dispenser_grants_to_min_clock_thread() {
-        let ds = Arc::new(DynSched::new(2, dynamic_chunks(3, 1)));
-        let timeout = Duration::from_secs(5);
-        let ds2 = ds.clone();
-        // Thread 1 sits at clock 100ms: it must not win a grant while
-        // thread 0 keeps presenting smaller clocks.
-        let h = std::thread::spawn(move || {
-            ds2.register(1, t(100), timeout);
-            let mut got = Vec::new();
-            let mut next = ds2.acquire(1, t(100), timeout);
-            while let Some(c) = next {
-                got.push(c);
-                next = ds2.finish_and_acquire(1, t(100), timeout);
-            }
-            got
-        });
-        ds.register(0, t(1), timeout);
-        let first = ds.acquire(0, t(1), timeout).unwrap();
-        assert_eq!(first, Chunk { start: 0, end: 1 }, "min clock wins");
-        let second = ds.finish_and_acquire(0, t(2), timeout).unwrap();
-        assert_eq!(second, Chunk { start: 1, end: 2 }, "still the min clock");
-        // Thread 0 retires at a huge clock: the final chunk goes to 1.
-        assert_eq!(
-            ds.finish_and_acquire(0, t(200), timeout),
-            None,
-            "thread 1 (100ms) outranks thread 0 (200ms) for the last chunk"
-        );
-        assert_eq!(h.join().unwrap(), vec![Chunk { start: 2, end: 3 }]);
+    fn boxed<'a>(f: impl FnOnce() + 'a) -> Box<dyn FnOnce() + 'a> {
+        Box::new(f)
     }
 
     #[test]
-    fn virtual_mutex_serializes_in_virtual_time() {
+    fn dispenser_grants_to_min_clock_thread() {
+        let ds = DynSched::new(2, dynamic_chunks(3, 1));
+        let got1 = Mutex::new(Vec::new());
+        sched::run_tasks(
+            sched::MIN_STACK_BYTES,
+            "test",
+            vec![
+                boxed(|| {
+                    ds.register(0, t(1));
+                    let first = ds.acquire(0, t(1)).unwrap();
+                    assert_eq!(first, Chunk { start: 0, end: 1 }, "min clock wins");
+                    let second = ds.finish_and_acquire(0, t(2)).unwrap();
+                    assert_eq!(second, Chunk { start: 1, end: 2 }, "still the min clock");
+                    // Thread 0 retires at a huge clock: the final chunk goes to 1.
+                    assert_eq!(
+                        ds.finish_and_acquire(0, t(200)),
+                        None,
+                        "thread 1 (100ms) outranks thread 0 (200ms) for the last chunk"
+                    );
+                }),
+                // Thread 1 sits at clock 100ms: it must not win a grant while
+                // thread 0 keeps presenting smaller clocks.
+                boxed(|| {
+                    ds.register(1, t(100));
+                    let mut next = ds.acquire(1, t(100));
+                    while let Some(c) = next {
+                        got1.lock().unpoison().push(c);
+                        next = ds.finish_and_acquire(1, t(100));
+                    }
+                }),
+            ],
+        );
+        assert_eq!(
+            got1.into_inner().unpoison(),
+            vec![Chunk { start: 2, end: 3 }]
+        );
+    }
+
+    #[test]
+    fn virtual_mutex_grants_in_arrival_order() {
+        // t threads arrive together, hold the lock for b each visit and
+        // come straight back, r times: the first round waits
+        // b·(0 + 1 + … + t−1), every later round b·(t−1) per thread, so the
+        // total is b·t(t−1)(r−½) whatever the host does.
+        let (threads, rounds, b) = (4u64, 3, VDur::from_millis(10));
         let vm = VirtualMutex::new();
-        let g1 = vm.acquire(t(0), VDur::ZERO);
-        assert_eq!(g1.start, t(0));
-        assert_eq!(g1.waited, VDur::ZERO);
-        g1.release(t(10));
-        // Second contender arrived at 3 but the lock frees at 10.
-        let g2 = vm.acquire(t(3), VDur::ZERO);
-        assert_eq!(g2.start, t(10));
-        assert_eq!(g2.waited, VDur::from_millis(7));
-        g2.release(t(12));
-        assert_eq!(vm.acquisitions(), 2);
+        let waited = Mutex::new(VDur::ZERO);
+        sched::run_tasks(
+            sched::MIN_STACK_BYTES,
+            "test",
+            (0..threads)
+                .map(|_| {
+                    let (vm, waited) = (&vm, &waited);
+                    boxed(move || {
+                        let mut clock = VTime::ZERO;
+                        for _ in 0..rounds {
+                            let g = vm.acquire(clock, VDur::ZERO);
+                            *waited.lock().unpoison() += g.waited;
+                            clock = g.start + b;
+                            g.release(clock);
+                        }
+                    })
+                })
+                .collect(),
+        );
+        let expect = b * (threads * (threads - 1) * (2 * rounds - 1) / 2);
+        assert_eq!(waited.into_inner().unpoison(), expect);
+        assert_eq!(expect, VDur::from_millis(300));
+        assert_eq!(vm.acquisitions(), threads * rounds);
     }
 
     #[test]

@@ -1,41 +1,46 @@
 //! Parallel regions and the per-thread handle.
 //!
-//! [`parallel`] forks a team of OS threads off any [`Master`], hands each an
-//! [`OmpThread`], and joins them back with OpenMP fork/join virtual-time
-//! semantics: threads start at `master clock + fork_overhead`, and the
-//! master resumes at `max(thread end clocks) + join_overhead` — so any
-//! imbalance among the threads becomes master-visible idle time, which is
-//! precisely the paper's *Imbalance in Parallel Region* property.
+//! [`parallel`] runs a team as tasks of one discrete-event scheduler run,
+//! hands each member an [`OmpThread`], and joins them back with OpenMP
+//! fork/join virtual-time semantics: threads start at `master clock +
+//! fork_overhead`, and the master resumes at `max(thread end clocks) +
+//! join_overhead` — so any imbalance among the threads becomes
+//! master-visible idle time, which is precisely the paper's *Imbalance in
+//! Parallel Region* property.
 //!
-//! Teams are always OS threads, regardless of the MPI layer's
-//! [`SimBackend`](ats_runtime::SimBackend): a fork from a rank coroutine
-//! OS-blocks that coroutine's scheduler thread until the join, which is
-//! safe (members never touch MPI) but means `nthreads` counts against
-//! real host parallelism. MPI calls belong in serial regions, where the
-//! master is back on the scheduler and cooperates as usual — see
-//! `mpi_in_omp_serial`.
+//! The team's run nests inside whatever context holds the master: a rank
+//! coroutine of the event backend, a thread-backend rank thread, a pool
+//! worker, or a member of an enclosing team. It completes before
+//! `parallel` returns and nothing outside it runs meanwhile, which is sound
+//! because a member holds only an `OmpThread` and so cannot call MPI. MPI
+//! calls belong in serial regions, where the master is back in its own
+//! context — see `mpi_in_omp_serial`. Members run one after another on the
+//! master's OS thread, in real-work mode too.
 
 use crate::master::Master;
 use crate::team::{dynamic_chunks, guided_chunks, CriticalSpace, TeamShared};
-use ats_runtime::{MachineModel, VDur, VTime, WorkEngine, WorkMode};
+use ats_runtime::{sched, MachineModel, Rendezvous, VDur, VTime, WorkEngine, WorkMode};
 use ats_trace::{CollOp, LocalTrace, LocationId, RegionId, RegionKind, TraceCollector};
+use std::cell::Cell;
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::sync::Mutex;
-use std::time::Duration;
 
-/// Where a thread's events go: spawned threads own their stream, the
+/// Coroutine stack of each team member (the MPI ranks' default size).
+const MEMBER_STACK_BYTES: usize = 512 * 1024;
+
+/// Where a thread's events go: forked members own their stream, the
 /// master (thread 0) borrows the master's.
 enum LocalSink<'t> {
-    Owned(Option<LocalTrace>),
+    Owned(LocalTrace),
     Borrowed(&'t mut LocalTrace),
 }
 
 impl LocalSink<'_> {
     fn get(&mut self) -> &mut LocalTrace {
         match self {
-            LocalSink::Owned(l) => l.as_mut().expect("owned sink already submitted"),
+            LocalSink::Owned(l) => l,
             LocalSink::Borrowed(l) => l,
         }
     }
@@ -130,10 +135,7 @@ impl<'t> OmpThread<'t> {
         let r = self.collector.intern("omp_barrier", RegionKind::OmpSync);
         let entry = self.clock;
         self.local.get().enter(entry, r);
-        let (seq, entries) = self
-            .team
-            .barrier
-            .exchange(self.tid, entry, self.team.timeout);
+        let (seq, entries) = self.team.barrier.exchange(self.tid, entry, entry, None);
         let exit = self.team.barrier_exit(&entries);
         self.clock = exit;
         self.local
@@ -153,7 +155,7 @@ impl<'t> OmpThread<'t> {
         let (seq, all) = self
             .team
             .reduction
-            .exchange(self.tid, (entry, value), self.team.timeout);
+            .exchange(self.tid, (entry, value), entry, None);
         let entries: Vec<VTime> = all.iter().map(|(e, _)| *e).collect();
         let exit = self.team.barrier_exit(&entries);
         self.clock = exit;
@@ -251,14 +253,14 @@ impl<'t> OmpThread<'t> {
         ds: &crate::team::DynSched,
         body: &mut impl FnMut(&mut Self, usize),
     ) {
-        ds.register(self.tid, self.clock, self.team.timeout);
-        let mut next = ds.acquire(self.tid, self.clock, self.team.timeout);
+        ds.register(self.tid, self.clock);
+        let mut next = ds.acquire(self.tid, self.clock);
         while let Some(chunk) = next {
             self.clock += self.team.model.chunk_dispatch;
             for it in chunk.start..chunk.end {
                 body(self, it);
             }
-            next = ds.finish_and_acquire(self.tid, self.clock, self.team.timeout);
+            next = ds.finish_and_acquire(self.tid, self.clock);
         }
     }
 
@@ -399,18 +401,20 @@ impl Master for OmpThread<'_> {
     fn criticals(&self) -> Arc<CriticalSpace> {
         self.team.criticals.clone()
     }
-    fn timeout(&self) -> Duration {
-        self.team.timeout
-    }
 }
 
 /// Fork a team of `nthreads` (including the master as thread 0), run
 /// `body` on every member, and join.
 ///
-/// Spawned threads receive fresh trace locations `(rank, base + k)` from
+/// Forked members receive fresh trace locations `(rank, base + k)` from
 /// the master's thread-id allocator; the master keeps its own location, so
 /// its in-region events nest inside its `omp_parallel` frame.
-pub fn parallel<M: Master>(m: &mut M, nthreads: usize, body: impl Fn(&mut OmpThread) + Sync) {
+///
+/// # Panics
+/// Propagates a member's panic, and panics if the team deadlocks (say, a
+/// member skips a barrier the others wait in) or on a target without the
+/// scheduler's context switch.
+pub fn parallel<M: Master>(m: &mut M, nthreads: usize, body: impl Fn(&mut OmpThread)) {
     assert!(nthreads >= 1, "a team needs at least one thread");
     let model = m.model().clone();
     let collector = m.collector().clone();
@@ -418,7 +422,6 @@ pub fn parallel<M: Master>(m: &mut M, nthreads: usize, body: impl Fn(&mut OmpThr
     let seed = m.seed();
     let work_mode = m.work_mode();
     let calibration = m.calibration();
-    let timeout = m.timeout();
     let master_loc = m.location();
     let r_par = collector.intern("omp_parallel", RegionKind::OmpParallel);
     let r_work = collector.intern("do_work", RegionKind::Work);
@@ -434,11 +437,10 @@ pub fn parallel<M: Master>(m: &mut M, nthreads: usize, body: impl Fn(&mut OmpThr
     let team = TeamShared {
         id: m.alloc_sync_id(),
         size: nthreads,
-        barrier: crate::exchange::ExchangeSlot::new(nthreads),
-        reduction: crate::exchange::ExchangeSlot::new(nthreads),
+        barrier: Rendezvous::new(nthreads, "OpenMP barrier"),
+        reduction: Rendezvous::new(nthreads, "OpenMP reduction"),
         loops: Mutex::new(HashMap::new()),
         model: model.clone(),
-        timeout,
         criticals: m.criticals(),
         sync_ids: m.sync_ids(),
         thread_ids: m.thread_ids(),
@@ -452,69 +454,60 @@ pub fn parallel<M: Master>(m: &mut M, nthreads: usize, body: impl Fn(&mut OmpThr
         0
     };
 
-    let mk_engine = |thread_id: u32| {
-        let mut e = WorkEngine::new(work_mode, seed, ((rank as u64) << 32) | thread_id as u64);
+    let member = |tid: usize, location: LocationId, local| {
+        let mut engine = WorkEngine::new(
+            work_mode,
+            seed,
+            ((rank as u64) << 32) | location.thread as u64,
+        );
         if let Some(rate) = calibration {
-            e.set_calibration(rate);
+            engine.set_calibration(rate);
         }
-        e
-    };
-
-    let join_time = std::thread::scope(|s| {
-        let handles: Vec<_> = (1..nthreads)
-            .map(|tid| {
-                let loc = LocationId::new(rank, base + (tid as u32) - 1);
-                let collector = collector.clone();
-                let team = &team;
-                let body = &body;
-                let engine = mk_engine(loc.thread);
-                let inherited = &inherited;
-                s.spawn(move || {
-                    let mut local = collector.local(loc);
-                    for r in inherited {
-                        local.enter(start, *r);
-                    }
-                    let mut th = OmpThread {
-                        tid,
-                        location: loc,
-                        clock: start,
-                        team,
-                        local: LocalSink::Owned(Some(local)),
-                        engine,
-                        collector: collector.clone(),
-                        construct_seq: 0,
-                        r_work,
-                    };
-                    body(&mut th);
-                    let join = join_team(&mut th);
-                    for r in inherited.iter().rev() {
-                        th.local.get().exit(join, *r);
-                    }
-                    if let LocalSink::Owned(l) = &mut th.local {
-                        collector.submit(l.take().expect("not yet submitted"));
-                    }
-                })
-            })
-            .collect();
-        let mut th0 = OmpThread {
-            tid: 0,
-            location: master_loc,
+        OmpThread {
+            tid,
+            location,
             clock: start,
             team: &team,
-            local: LocalSink::Borrowed(m.local_mut()),
-            engine: mk_engine(master_loc.thread),
+            local,
+            engine,
             collector: collector.clone(),
             construct_seq: 0,
             r_work,
-        };
-        body(&mut th0);
-        let join = join_team(&mut th0);
-        for h in handles {
-            h.join().expect("team thread panicked");
         }
-        join
-    });
-    m.set_clock(join_time + model.join_overhead);
+    };
+
+    let join = Cell::new(start);
+    let (body, join_ref, inherited_ref) = (&body, &join, &inherited);
+    let mut th0 = member(0, master_loc, LocalSink::Borrowed(m.local_mut()));
+    let mut members: Vec<Box<dyn FnOnce() + '_>> = vec![Box::new(move || {
+        body(&mut th0);
+        join_ref.set(join_team(&mut th0));
+    })];
+    for tid in 1..nthreads {
+        let loc = LocationId::new(rank, base + (tid as u32) - 1);
+        let mut local = collector.local(loc);
+        for r in inherited_ref {
+            local.enter(start, *r);
+        }
+        let mut th = member(tid, loc, LocalSink::Owned(local));
+        let collector = &collector;
+        members.push(Box::new(move || {
+            body(&mut th);
+            let join = join_team(&mut th);
+            for r in inherited_ref.iter().rev() {
+                th.local.get().exit(join, *r);
+            }
+            if let LocalSink::Owned(local) = th.local {
+                collector.submit(local);
+            }
+        }));
+    }
+    sched::run_tasks(
+        MEMBER_STACK_BYTES,
+        "ats_omp::thread::MEMBER_STACK_BYTES",
+        members,
+    );
+    m.set_clock(join.get() + model.join_overhead);
     let t_end = m.clock();
     m.local_mut().exit(t_end, r_par);
 }
@@ -523,7 +516,7 @@ pub fn parallel<M: Master>(m: &mut M, nthreads: usize, body: impl Fn(&mut OmpThr
 /// record the join pseudo-collective, and return the join time.
 fn join_team(th: &mut OmpThread<'_>) -> VTime {
     let entry = th.clock;
-    let (seq, ends) = th.team.barrier.exchange(th.tid, entry, th.team.timeout);
+    let (seq, ends) = th.team.barrier.exchange(th.tid, entry, entry, None);
     let join = ends.iter().copied().max().unwrap_or(entry);
     th.clock = join;
     th.local
@@ -786,6 +779,23 @@ mod tests {
     }
 
     #[test]
+    fn a_critical_body_that_switches_tasks_keeps_the_lock() {
+        // Thread 0 holds "a" while its body enters "b", which yields to
+        // the scheduler; thread 1, arriving at "a" meanwhile, must wait
+        // for the release at 6ms instead of overlapping.
+        run_omp(zero_cfg(), |m| {
+            parallel(m, 2, |th| {
+                th.critical("a", |th| {
+                    th.do_work(VDur::from_millis(5));
+                    th.critical("b", |th| th.do_work(VDur::from_millis(1)));
+                });
+                th.barrier();
+                assert_eq!(th.clock(), t(12));
+            });
+        });
+    }
+
+    #[test]
     fn distinct_critical_names_do_not_contend() {
         run_omp(zero_cfg(), |m| {
             parallel(m, 2, |th| {
@@ -900,18 +910,28 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "team rendezvous stalled")]
+    #[should_panic(expected = "kaput")]
     fn member_panic_propagates() {
-        let mut cfg = zero_cfg();
-        cfg.timeout = Duration::from_millis(100);
-        run_omp(cfg, |m| {
+        run_omp(zero_cfg(), |m| {
             parallel(m, 2, |th| {
                 if th.thread_num() == 1 {
                     panic!("kaput");
                 }
-                // Thread 0 heads into the join barrier and must abort via
-                // the timeout rather than hang.
+                // Thread 0 is parked in the barrier when its teammate
+                // panics; the scheduler unwinds it and re-raises the panic.
                 th.barrier();
+            });
+        });
+    }
+
+    #[test]
+    #[should_panic(expected = "OpenMP barrier")]
+    fn skipped_barrier_is_a_structural_deadlock() {
+        run_omp(zero_cfg(), |m| {
+            parallel(m, 2, |th| {
+                if th.thread_num() == 0 {
+                    th.barrier();
+                }
             });
         });
     }

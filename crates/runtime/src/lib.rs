@@ -35,6 +35,7 @@
 //! differential-testing oracle.
 
 pub mod model;
+pub mod rendezvous;
 pub mod rng;
 pub mod sched;
 pub mod sync;
@@ -42,6 +43,7 @@ pub mod time;
 pub mod work;
 
 pub use model::MachineModel;
+pub use rendezvous::Rendezvous;
 pub use rng::SplitMix64;
 pub use sched::{SchedStats, SimBackend};
 pub use time::{VDur, VTime};

@@ -40,6 +40,10 @@
 //! tasks *is* a deadlock, no real-time budget needed. Cleanup unwinds every
 //! live coroutine (destructors run, stacks are reclaimed) by resuming it
 //! with a cancellation flag that turns the next block into a silent panic.
+//!
+//! Runs nest: a task may itself call [`run_tasks`] (an OpenMP team forked
+//! by a simulated rank), and the inner run completes on that task's stack
+//! before the task goes on.
 
 use crate::sync::Unpoison;
 use crate::time::VTime;
@@ -170,6 +174,8 @@ struct SchedCore {
     live: usize,
     events: u64,
     max_ready: usize,
+    /// The setting that sized the stacks, named in the overflow message.
+    stack_knob: &'static str,
 }
 
 thread_local! {
@@ -181,8 +187,9 @@ fn active() -> *mut SchedCore {
 }
 
 /// The id of the simulation task currently executing on this thread, or
-/// `None` when called from an ordinary OS thread (thread backend, OpenMP
-/// team members, the test harness itself).
+/// `None` when called from an ordinary OS thread (thread-backend ranks, pool
+/// workers, the test harness itself). Inside a nested [`run_tasks`] this is
+/// the id within the innermost run.
 pub fn current() -> Option<TaskId> {
     let core = active();
     if core.is_null() {
@@ -306,7 +313,15 @@ pub fn wake(id: TaskId, at: VTime) {
 }
 
 /// Run `closures` as cooperatively-scheduled tasks (task id = spawn index,
-/// all starting at virtual time zero) until every task finishes.
+/// all starting at virtual time zero) until every task finishes. Each task
+/// gets a `stack_bytes` coroutine stack; `stack_knob` names the setting
+/// that chose that size, for the stack-overflow message.
+///
+/// Runs may nest: called from inside a task, the inner run executes on that
+/// task's stack and completes before returning, and no task of the outer
+/// run executes meanwhile. [`current`], [`block`], [`yield_at`] and
+/// [`wake`] address the innermost run; the outer task's view is restored on
+/// return.
 ///
 /// If a task panics, the remaining tasks are unwound (their destructors
 /// run) and the original panic is propagated. If no task is runnable while
@@ -314,16 +329,13 @@ pub fn wake(id: TaskId, at: VTime) {
 /// panic describing every blocked task is raised.
 ///
 /// # Panics
-/// Panics if nested inside another `run_tasks`, or on a target without a
-/// context-switch implementation (see [`SimBackend::event_supported`]).
+/// Panics on a target without a context-switch implementation (see
+/// [`SimBackend::event_supported`]).
 pub fn run_tasks<'scope>(
     stack_bytes: usize,
+    stack_knob: &'static str,
     closures: Vec<Box<dyn FnOnce() + 'scope>>,
 ) -> SchedStats {
-    assert!(
-        active().is_null(),
-        "run_tasks may not be nested inside a simulation task"
-    );
     assert!(
         SimBackend::event_supported(),
         "the event backend has no context switch for this target; \
@@ -350,6 +362,7 @@ pub fn run_tasks<'scope>(
         live: n,
         events: 0,
         max_ready: n,
+        stack_knob,
     });
     let core_ptr: *mut SchedCore = &mut *core;
     for (id, closure) in closures.into_iter().enumerate() {
@@ -376,11 +389,11 @@ pub fn run_tasks<'scope>(
     }
     core.seq = n as u64;
 
-    ACTIVE.with(|a| a.set(core_ptr));
+    let outer = ACTIVE.with(|a| a.replace(core_ptr));
     // SAFETY: core_ptr outlives the loop; the loop leaves every task
     // Finished before returning or unwinding.
     let outcome = catch_unwind(AssertUnwindSafe(|| unsafe { run_loop(core_ptr) }));
-    ACTIVE.with(|a| a.set(std::ptr::null_mut()));
+    ACTIVE.with(|a| a.set(outer));
     match outcome {
         Ok(()) => SchedStats {
             tasks: n,
@@ -479,9 +492,9 @@ unsafe fn resume(core: *mut SchedCore, id: usize) {
     ctx::switch(sched_sp_slot, (*task).sp);
     if !(*task).stack.canary_ok() {
         eprintln!(
-            "fatal: simulation task {id} overflowed its {}-byte stack \
-             (raise SimConfig::task_stack_bytes)",
-            (*task).stack.size()
+            "fatal: simulation task {id} overflowed its {}-byte stack (raise {})",
+            (*task).stack.size(),
+            (*core).stack_knob
         );
         std::process::abort();
     }
@@ -763,12 +776,13 @@ impl WaitSet {
     /// Inside a task this suspends the coroutine with resume bound `clock`
     /// and the flag is always `false` (deadlock detection is structural).
     /// On a plain thread it waits on the condvar and the flag is `true`
-    /// iff `deadline` passed — the caller's real-time deadlock budget.
+    /// iff `deadline` passed — the caller's real-time deadlock budget;
+    /// `None` waits without one.
     pub fn wait<'m, T>(
         &self,
         mutex: &'m Mutex<T>,
         guard: MutexGuard<'m, T>,
-        deadline: Instant,
+        deadline: Option<Instant>,
         clock: VTime,
         reason: &'static str,
     ) -> (MutexGuard<'m, T>, bool) {
@@ -777,10 +791,12 @@ impl WaitSet {
             drop(guard);
             block(clock, reason);
             (mutex.lock().unpoison(), false)
-        } else {
+        } else if let Some(deadline) = deadline {
             let left = deadline.saturating_duration_since(Instant::now());
             let (guard, _) = self.cv.wait_timeout(guard, left).unpoison();
             (guard, Instant::now() >= deadline)
+        } else {
+            (self.cv.wait(guard).unpoison(), false)
         }
     }
 
@@ -827,6 +843,7 @@ mod tests {
         let log = Mutex::new(Vec::new());
         let stats = run_tasks(
             MIN_STACK_BYTES,
+            "test",
             vec![
                 boxed(|| {
                     log.lock().unpoison().push("a0");
@@ -851,6 +868,7 @@ mod tests {
         let log = Mutex::new(Vec::new());
         run_tasks(
             MIN_STACK_BYTES,
+            "test",
             (0..8)
                 .map(|i| {
                     let log = &log;
@@ -868,12 +886,12 @@ mod tests {
         let got = Mutex::new(None);
         run_tasks(
             MIN_STACK_BYTES,
+            "test",
             vec![
                 boxed(|| {
                     let mut s = slot.lock().unpoison();
                     while s.is_none() {
-                        let deadline = Instant::now() + Duration::from_secs(5);
-                        let (g, timed_out) = ws.wait(&slot, s, deadline, VTime::ZERO, "test-recv");
+                        let (g, timed_out) = ws.wait(&slot, s, None, VTime::ZERO, "test-recv");
                         assert!(!timed_out);
                         s = g;
                     }
@@ -897,12 +915,12 @@ mod tests {
         let flag = Mutex::new(false);
         run_tasks(
             MIN_STACK_BYTES,
+            "test",
             vec![
                 boxed(|| {
                     let mut f = flag.lock().unpoison();
                     while !*f {
-                        let deadline = Instant::now() + Duration::from_secs(5);
-                        f = ws.wait(&flag, f, deadline, VTime::ZERO, "test-wait").0;
+                        f = ws.wait(&flag, f, None, VTime::ZERO, "test-wait").0;
                     }
                     drop(f);
                     log.lock().unpoison().push("waiter");
@@ -919,6 +937,54 @@ mod tests {
     }
 
     #[test]
+    fn nested_run_restores_the_outer_task() {
+        let log = Mutex::new(Vec::new());
+        let ws = WaitSet::new();
+        let flag = Mutex::new(false);
+        run_tasks(
+            MIN_STACK_BYTES,
+            "test",
+            vec![
+                boxed(|| {
+                    run_tasks(
+                        MIN_STACK_BYTES,
+                        "test",
+                        vec![
+                            boxed(|| {
+                                yield_at(VTime(5));
+                                log.lock().unpoison().push(("inner", current()));
+                            }),
+                            boxed(|| log.lock().unpoison().push(("inner", current()))),
+                        ],
+                    );
+                    assert_eq!(current(), Some(TaskId(0)));
+                    let mut f = flag.lock().unpoison();
+                    while !*f {
+                        f = ws.wait(&flag, f, None, VTime(1), "test-wait").0;
+                    }
+                    drop(f);
+                    log.lock().unpoison().push(("outer woke", current()));
+                }),
+                boxed(|| {
+                    log.lock().unpoison().push(("outer", current()));
+                    *flag.lock().unpoison() = true;
+                    ws.notify_all(VTime(2));
+                }),
+            ],
+        );
+        assert_eq!(
+            log.into_inner().unpoison(),
+            vec![
+                ("inner", Some(TaskId(1))),
+                ("inner", Some(TaskId(0))),
+                ("outer", Some(TaskId(1))),
+                ("outer woke", Some(TaskId(0))),
+            ]
+        );
+        assert_eq!(current(), None);
+    }
+
+    #[test]
     fn panic_in_one_task_cancels_and_unwinds_the_rest() {
         let dropped = AtomicBool::new(false);
         struct Guard<'a>(&'a AtomicBool);
@@ -932,13 +998,13 @@ mod tests {
         let err = catch_unwind(AssertUnwindSafe(|| {
             run_tasks(
                 MIN_STACK_BYTES,
+                "test",
                 vec![
                     boxed(|| {
                         let _g = Guard(&dropped);
                         let mut l = lock.lock().unpoison();
                         loop {
-                            let deadline = Instant::now() + Duration::from_secs(5);
-                            l = ws.wait(&lock, l, deadline, VTime::ZERO, "test-park").0;
+                            l = ws.wait(&lock, l, None, VTime::ZERO, "test-park").0;
                         }
                     }),
                     boxed(|| panic!("kaboom")),
@@ -961,11 +1027,11 @@ mod tests {
         let err = catch_unwind(AssertUnwindSafe(|| {
             run_tasks(
                 MIN_STACK_BYTES,
+                "test",
                 vec![boxed(|| {
                     let mut l = lock.lock().unpoison();
                     loop {
-                        let deadline = Instant::now() + Duration::from_secs(5);
-                        l = ws.wait(&lock, l, deadline, VTime(9), "test-recv").0;
+                        l = ws.wait(&lock, l, None, VTime(9), "test-recv").0;
                     }
                 })],
             )
@@ -983,6 +1049,7 @@ mod tests {
             let cells: Vec<Mutex<&mut u64>> = results.iter_mut().map(Mutex::new).collect();
             run_tasks(
                 MIN_STACK_BYTES,
+                "test",
                 (0..16)
                     .map(|i| {
                         let cells = &cells;
@@ -1017,6 +1084,7 @@ mod tests {
         let counter = Mutex::new(0u64);
         let stats = run_tasks(
             MIN_STACK_BYTES,
+            "test",
             (0..n)
                 .map(|i| {
                     let counter = &counter;

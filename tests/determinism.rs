@@ -11,21 +11,10 @@ fn canonical(mut t: Trace) -> Trace {
     t
 }
 
-/// Catalog entries whose traces must be bit-identical across repeated runs.
-/// `omp_critical_contention` and its lock-based twin `omp_lock_contention`
-/// are excluded by design: acquisition *order* among equal virtual
-/// arrivals follows host scheduling (documented in `ats-omp`), while total
-/// contention stays fixed — checked separately.
-fn deterministic_entries() -> impl Iterator<Item = &'static ats::core::PropertySpec> {
-    ats::core::CATALOG
-        .iter()
-        .filter(|s| !matches!(s.name, "omp_critical_contention" | "omp_lock_contention"))
-}
-
 #[test]
 fn every_catalog_trace_is_bit_reproducible() {
     let opts = RunOpts::default().procs(4);
-    for spec in deterministic_entries() {
+    for spec in ats::core::CATALOG.iter() {
         let mut params = ParamValues::defaults(spec);
         params.set("r", ParamValue::Count(2));
         let a = canonical(run_single(spec.name, &params, &opts).unwrap());
@@ -43,29 +32,28 @@ fn every_catalog_trace_is_bit_reproducible() {
 #[test]
 fn contention_totals_are_stable_even_if_order_is_not() {
     use ats::analyzer::{analyze, AnalyzerConfig};
+    // Catalog defaults: t = 4 threads, bodywork b = 0.01 s, no outside
+    // work, r = 3 visits. Contenders take the lock in virtual-time order,
+    // so the first round waits b·(0 + 1 + … + t−1) and each later round
+    // b·(t−1) per thread: b·t(t−1)(r−½) = 0.30 s in total, on every run.
     // Both contention flavors report as OmpCriticalContention.
-    for (name, property) in [
-        ("omp_critical_contention", "OmpCriticalContention"),
-        ("omp_lock_contention", "OmpCriticalContention"),
-    ] {
+    for name in ["omp_critical_contention", "omp_lock_contention"] {
         let spec = ats::core::catalog::find(name).unwrap();
         let params = ParamValues::defaults(spec);
         let opts = RunOpts::default().procs(2);
-        let mut totals = Vec::new();
         for _ in 0..3 {
             let trace = run_single(name, &params, &opts).unwrap();
             let report = analyze(&trace, &AnalyzerConfig::default().threshold(0.0));
             let total: f64 = report
-                .findings_for(property)
+                .findings_for("OmpCriticalContention")
                 .iter()
                 .map(|f| f.wait.as_secs())
                 .sum();
-            totals.push(total);
+            assert!(
+                (total - 0.30).abs() < 1e-9,
+                "{name}: contention total {total} s, expected 0.30 s"
+            );
         }
-        assert!(
-            totals.windows(2).all(|w| (w[0] - w[1]).abs() < 1e-9),
-            "{name}: aggregate contention must be schedule-independent: {totals:?}"
-        );
     }
 }
 
@@ -102,7 +90,9 @@ fn seeds_do_not_leak_into_virtual_time() {
 
 /// Tentpole parity: the discrete-event scheduler must be invisible in the
 /// results — byte-identical ATSB traces and identical analyzer reports to
-/// the one-OS-thread-per-rank backend, across a catalog sample.
+/// the one-OS-thread-per-rank backend, across a catalog sample. The hybrid
+/// entries run their OpenMP teams nested in a rank coroutine on the event
+/// backend and at top level on a rank thread on the thread backend.
 #[test]
 fn event_and_thread_backends_produce_identical_atsb_bytes() {
     use ats::analyzer::{analyze, AnalyzerConfig};
@@ -116,18 +106,41 @@ fn event_and_thread_backends_produce_identical_atsb_bytes() {
         "messages_in_wrong_order",
         "imbalance_at_mpi_alltoall",
         "balanced_ring",
+        "omp_imbalance_at_mpi_barrier",
+        "mpi_in_omp_serial",
     ];
-    for name in sample {
-        let spec = ats::core::catalog::find(name).unwrap();
-        let mut params = ParamValues::defaults(spec);
-        params.set("r", ParamValue::Count(2));
-        let run_on = |backend: SimBackend| {
-            canonical(
-                run_single(name, &params, &RunOpts::default().procs(8).backend(backend)).unwrap(),
-            )
-        };
-        let event = run_on(SimBackend::Event);
-        let thread = run_on(SimBackend::Thread);
+    let mut runs: Vec<(&str, Trace, Trace)> = sample
+        .iter()
+        .map(|&name| {
+            let spec = ats::core::catalog::find(name).unwrap();
+            let mut params = ParamValues::defaults(spec);
+            params.set("r", ParamValue::Count(2));
+            let run_on = |backend: SimBackend| {
+                canonical(
+                    run_single(name, &params, &RunOpts::default().procs(8).backend(backend))
+                        .unwrap(),
+                )
+            };
+            (name, run_on(SimBackend::Event), run_on(SimBackend::Thread))
+        })
+        .collect();
+    // Not a catalog entry: teams nested in the members of an outer team.
+    let nested_on = |backend: SimBackend| {
+        canonical(ats::mpi::run(
+            ats::mpi::SimConfig::with_procs(8).backend(backend),
+            |p| {
+                let world = p.comm_world();
+                let df = ats::core::Distr::linear(0.001, 0.004);
+                ats::core::properties::hybrid::nested_omp_imbalance(p, 2, 3, &df, 2, &world);
+            },
+        ))
+    };
+    runs.push((
+        "nested_omp_imbalance",
+        nested_on(SimBackend::Event),
+        nested_on(SimBackend::Thread),
+    ));
+    for (name, event, thread) in runs {
         assert_eq!(
             ats::trace::binfmt::encode(&event),
             ats::trace::binfmt::encode(&thread),

@@ -93,3 +93,24 @@ fn wide_omp_team_inside_each_rank() {
     assert!(check_wellformed(&trace).is_empty());
     assert_eq!(trace.num_locations(), 4 * 16);
 }
+
+/// Hybrid scale: 4096 ranks each fork an imbalanced 4-thread team, nested
+/// in the rank's coroutine, then meet at a world barrier — 4096 × 4
+/// simulated threads in one process.
+#[test]
+fn four_thousand_ranks_each_fork_a_team() {
+    use ats::runtime::{VDur, VTime};
+    let trace = ats::mpi::run(SimConfig::with_procs(4096), |p| {
+        let world = p.comm_world();
+        let rank_us = (p.rank() % 5) as u64 * 10;
+        ats::core::with_omp(p, |m| {
+            ats::omp::parallel(m, 4, |th| {
+                th.do_work(VDur::from_micros(rank_us + th.thread_num() as u64 * 100));
+            });
+        });
+        p.barrier(&world);
+        assert!(p.clock() >= VTime(340_000), "slowest team: 40 + 300 µs");
+    });
+    assert_eq!(trace.num_locations(), 4096 * 4);
+    assert!(check_wellformed(&trace).is_empty());
+}
