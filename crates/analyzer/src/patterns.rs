@@ -138,8 +138,7 @@ pub fn wrong_order(pairs: &[MatchedPair]) -> Vec<Located> {
         }
         let mut overlap = VDur::ZERO;
         for q in by_receiver[&p.recv.loc].iter().map(|&i| &pairs[i]) {
-            if (q.recv.posted, q.recv.from, q.recv.tag)
-                == (p.recv.posted, p.recv.from, p.recv.tag)
+            if (q.recv.posted, q.recv.from, q.recv.tag) == (p.recv.posted, p.recv.from, p.recv.tag)
                 || q.recv.posted <= p.recv.posted
             {
                 continue;

@@ -159,8 +159,7 @@ fn main() {
     let warm_speedup = cold.wall_secs / warm.wall_secs.max(1e-9);
     let store = Store::open(dir).expect("store reopens");
     let stats = store.stats();
-    let gate_passed =
-        hit_rate >= min_hit_rate && byte_identical && warm.cache_bytes_written == 0;
+    let gate_passed = hit_rate >= min_hit_rate && byte_identical && warm.cache_bytes_written == 0;
     // `warm_speedup`: cold wall over warm wall, how much faster the
     // unchanged campaign re-runs.
     let doc = Json::obj()

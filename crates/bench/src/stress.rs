@@ -66,9 +66,7 @@ impl StressConfig {
 
     /// Total events across all ranks.
     pub fn events_total(&self) -> u64 {
-        (0..self.ranks)
-            .map(|r| self.rank_event_count(r))
-            .sum()
+        (0..self.ranks).map(|r| self.rank_event_count(r)).sum()
     }
 
     fn coll_reps(&self) -> u64 {
@@ -134,8 +132,16 @@ pub fn stress_location(cfg: &StressConfig, rank: u32) -> LocationTrace {
     for k in 0..cfg.reps {
         let rep = body + k * cfg.rep_slot();
         for j in 0..cfg.inner {
-            push(&mut ev, rep + 2 * j * WORK, EventKind::Enter { region: R_WORK });
-            push(&mut ev, rep + (2 * j + 1) * WORK, EventKind::Exit { region: R_WORK });
+            push(
+                &mut ev,
+                rep + 2 * j * WORK,
+                EventKind::Enter { region: R_WORK },
+            );
+            push(
+                &mut ev,
+                rep + (2 * j + 1) * WORK,
+                EventKind::Exit { region: R_WORK },
+            );
         }
         let p2p = rep + 2 * cfg.inner * WORK;
         let tag = (k % 1_000) as i32;

@@ -82,7 +82,9 @@ pub fn config_key(
     opts: &RunOpts,
     analyzer: &AnalyzerConfig,
 ) -> CacheKey {
-    CacheKey::of_value(&config_key_doc(property, params_cli, nprocs, opts, analyzer))
+    CacheKey::of_value(&config_key_doc(
+        property, params_cli, nprocs, opts, analyzer,
+    ))
 }
 
 fn work_mode_label(mode: WorkMode) -> &'static str {
@@ -185,9 +187,36 @@ mod tests {
         let analyzer = AnalyzerConfig::default();
         let base = base_key();
         let keys = [
-            ("property", config_key("late_receiver", "basework=0.01 extrawork=0.04 r=3", 8, &opts, &analyzer)),
-            ("params", config_key("late_sender", "basework=0.01 extrawork=0.08 r=3", 8, &opts, &analyzer)),
-            ("nprocs", config_key("late_sender", "basework=0.01 extrawork=0.04 r=3", 4, &opts, &analyzer)),
+            (
+                "property",
+                config_key(
+                    "late_receiver",
+                    "basework=0.01 extrawork=0.04 r=3",
+                    8,
+                    &opts,
+                    &analyzer,
+                ),
+            ),
+            (
+                "params",
+                config_key(
+                    "late_sender",
+                    "basework=0.01 extrawork=0.08 r=3",
+                    8,
+                    &opts,
+                    &analyzer,
+                ),
+            ),
+            (
+                "nprocs",
+                config_key(
+                    "late_sender",
+                    "basework=0.01 extrawork=0.04 r=3",
+                    4,
+                    &opts,
+                    &analyzer,
+                ),
+            ),
             (
                 "backend",
                 config_key(
@@ -200,33 +229,57 @@ mod tests {
             ),
             (
                 "model",
-                config_key("late_sender", "basework=0.01 extrawork=0.04 r=3", 8, &RunOpts {
-                    model: MachineModel::default(),
-                    ..Default::default()
-                }, &analyzer),
+                config_key(
+                    "late_sender",
+                    "basework=0.01 extrawork=0.04 r=3",
+                    8,
+                    &RunOpts {
+                        model: MachineModel::default(),
+                        ..Default::default()
+                    },
+                    &analyzer,
+                ),
             ),
             (
                 "seed",
-                config_key("late_sender", "basework=0.01 extrawork=0.04 r=3", 8, &{
-                    let mut o = RunOpts::default();
-                    o.seed ^= 1;
-                    o
-                }, &analyzer),
+                config_key(
+                    "late_sender",
+                    "basework=0.01 extrawork=0.04 r=3",
+                    8,
+                    &{
+                        let mut o = RunOpts::default();
+                        o.seed ^= 1;
+                        o
+                    },
+                    &analyzer,
+                ),
             ),
             (
                 "work_mode",
-                config_key("late_sender", "basework=0.01 extrawork=0.04 r=3", 8, &RunOpts {
-                    work_mode: WorkMode::Real,
-                    ..Default::default()
-                }, &analyzer),
+                config_key(
+                    "late_sender",
+                    "basework=0.01 extrawork=0.04 r=3",
+                    8,
+                    &RunOpts {
+                        work_mode: WorkMode::Real,
+                        ..Default::default()
+                    },
+                    &analyzer,
+                ),
             ),
             (
                 "base_comm",
-                config_key("late_sender", "basework=0.01 extrawork=0.04 r=3", 8, &{
-                    let mut o = RunOpts::default();
-                    o.base.count *= 2;
-                    o
-                }, &analyzer),
+                config_key(
+                    "late_sender",
+                    "basework=0.01 extrawork=0.04 r=3",
+                    8,
+                    &{
+                        let mut o = RunOpts::default();
+                        o.base.count *= 2;
+                        o
+                    },
+                    &analyzer,
+                ),
             ),
             (
                 "init_time",
@@ -240,18 +293,30 @@ mod tests {
             ),
             (
                 "threshold",
-                config_key("late_sender", "basework=0.01 extrawork=0.04 r=3", 8, &opts, &{
-                    let mut a = AnalyzerConfig::default();
-                    a.threshold *= 2.0;
-                    a
-                }),
+                config_key(
+                    "late_sender",
+                    "basework=0.01 extrawork=0.04 r=3",
+                    8,
+                    &opts,
+                    &{
+                        let mut a = AnalyzerConfig::default();
+                        a.threshold *= 2.0;
+                        a
+                    },
+                ),
             ),
             (
                 "report_setup_overhead",
-                config_key("late_sender", "basework=0.01 extrawork=0.04 r=3", 8, &opts, &AnalyzerConfig {
-                    report_setup_overhead: true,
-                    ..Default::default()
-                }),
+                config_key(
+                    "late_sender",
+                    "basework=0.01 extrawork=0.04 r=3",
+                    8,
+                    &opts,
+                    &AnalyzerConfig {
+                        report_setup_overhead: true,
+                        ..Default::default()
+                    },
+                ),
             ),
         ];
         for (what, key) in &keys {

@@ -273,10 +273,7 @@ impl Experiment {
             },
             config_wall_secs,
             trace_pool: trace_pool.stats(),
-            cache_mode: self
-                .cache
-                .as_ref()
-                .map_or("off", |c| c.mode.label()),
+            cache_mode: self.cache.as_ref().map_or("off", |c| c.mode.label()),
             cache_hits,
             cache_misses: rows.len() - cache_hits,
             cache_bytes_read,
@@ -677,7 +674,11 @@ mod tests {
         let render = |rows: &[ExperimentRow]| -> Vec<String> {
             rows.iter().map(|r| row_to_json(r).render()).collect()
         };
-        assert_eq!(render(&cold_rows), render(&warm_rows), "replay is byte-identical");
+        assert_eq!(
+            render(&cold_rows),
+            render(&warm_rows),
+            "replay is byte-identical"
+        );
         // `ro` replays what `rw` left behind; `off` ignores the store.
         let (_, ro) = exp(CacheMode::Read).run_with_stats().unwrap();
         assert_eq!((ro.cache_mode, ro.cache_hits), ("ro", 4));

@@ -149,12 +149,10 @@ impl SessionBuilder {
             let root = self
                 .cache_dir
                 .unwrap_or_else(|| PathBuf::from(ats_store::DEFAULT_DIR));
-            Store::open(&root)
-                .ok()
-                .map(|store| Cache {
-                    store: store.with_obs(handle.clone()),
-                    mode: self.cache_mode,
-                })
+            Store::open(&root).ok().map(|store| Cache {
+                store: store.with_obs(handle.clone()),
+                mode: self.cache_mode,
+            })
         };
         Session {
             opts,
@@ -368,10 +366,7 @@ mod tests {
         assert!(off.result_cache().is_none(), "caching defaults to off");
         let cold = session(CacheMode::ReadWrite);
         assert_eq!(cold.result_cache().unwrap().mode, CacheMode::ReadWrite);
-        let (_, stats) = cold
-            .experiment("late_sender")
-            .run_with_stats()
-            .unwrap();
+        let (_, stats) = cold.experiment("late_sender").run_with_stats().unwrap();
         assert_eq!((stats.cache_mode, stats.cache_misses), ("rw", 1));
         let (_, warm) = session(CacheMode::Read)
             .experiment("late_sender")

@@ -752,8 +752,16 @@ mod tests {
     #[test]
     fn malformed_inputs_are_rejected() {
         for bad in [
-            "", "{", "[1,", "{\"a\"}", "\"unterminated", "01x", "nul", "{\"a\":1}]",
-            "\"\\ud800\"", "-",
+            "",
+            "{",
+            "[1,",
+            "{\"a\"}",
+            "\"unterminated",
+            "01x",
+            "nul",
+            "{\"a\":1}]",
+            "\"\\ud800\"",
+            "-",
         ] {
             assert!(Json::parse(bad).is_err(), "{bad:?} accepted");
         }
@@ -815,7 +823,10 @@ mod tests {
         assert_eq!(doc.get("s").and_then(Json::as_str), Some("x"));
         assert_eq!(doc.get("f").and_then(Json::as_f64), Some(1.5));
         assert_eq!(doc.get("b").and_then(Json::as_bool), Some(true));
-        assert_eq!(doc.get("a").and_then(Json::as_arr).map(<[Json]>::len), Some(1));
+        assert_eq!(
+            doc.get("a").and_then(Json::as_arr).map(<[Json]>::len),
+            Some(1)
+        );
         assert_eq!(doc.get("big").and_then(Json::as_u64), Some(u64::MAX));
         assert_eq!(doc.get("big").and_then(Json::as_i64), None);
         assert_eq!(doc.get("missing"), None);

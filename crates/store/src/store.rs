@@ -87,11 +87,18 @@ impl EntryDoc {
             .to_owned();
         let ingredients = doc.get("ingredients").cloned().unwrap_or(Json::Null);
         let mut files = BTreeMap::new();
-        for (name, meta) in doc.get("files").and_then(Json::as_obj).ok_or("missing files")? {
+        for (name, meta) in doc
+            .get("files")
+            .and_then(Json::as_obj)
+            .ok_or("missing files")?
+        {
             files.insert(
                 name.clone(),
                 FileMeta {
-                    bytes: meta.get("bytes").and_then(Json::as_u64).ok_or("missing bytes")?,
+                    bytes: meta
+                        .get("bytes")
+                        .and_then(Json::as_u64)
+                        .ok_or("missing bytes")?,
                     checksum: meta
                         .get("checksum")
                         .and_then(Json::as_str)
@@ -353,7 +360,10 @@ mod tests {
             .put(
                 &key,
                 &ingredients(1),
-                &[("report.json", b"{}".as_slice()), ("trace.atsb", b"ATSB\x01")],
+                &[
+                    ("report.json", b"{}".as_slice()),
+                    ("trace.atsb", b"ATSB\x01"),
+                ],
             )
             .unwrap();
         assert_eq!(written, 2 + 5);
@@ -364,7 +374,13 @@ mod tests {
         assert_eq!(entry.file("trace.atsb"), Some(b"ATSB\x01".as_slice()));
         assert_eq!(entry.bytes, 7);
         assert_eq!(entry.ingredients, ingredients(1));
-        assert_eq!(store.stats(), StoreStats { entries: 1, bytes: 7 });
+        assert_eq!(
+            store.stats(),
+            StoreStats {
+                entries: 1,
+                bytes: 7
+            }
+        );
     }
 
     #[test]
@@ -404,7 +420,11 @@ mod tests {
             .map(|n| {
                 let key = CacheKey::of_value(&ingredients(n));
                 store
-                    .put(&key, &ingredients(n), &[("row.json", format!("{n}").as_bytes())])
+                    .put(
+                        &key,
+                        &ingredients(n),
+                        &[("row.json", format!("{n}").as_bytes())],
+                    )
                     .unwrap();
                 key
             })
@@ -479,7 +499,9 @@ mod tests {
                         let ing = Json::obj().with("t", t).with("n", n);
                         let key = CacheKey::of_value(&ing);
                         let body = format!("{t}:{n}");
-                        store.put(&key, &ing, &[("row.json", body.as_bytes())]).unwrap();
+                        store
+                            .put(&key, &ing, &[("row.json", body.as_bytes())])
+                            .unwrap();
                         let got = store.get(&key).unwrap().expect("own put visible");
                         assert_eq!(got.file("row.json"), Some(body.as_bytes()));
                     }

@@ -1269,7 +1269,10 @@ mod tests {
         let mut got = Vec::new();
         while let Some(block) = br.next_block().unwrap() {
             assert_eq!(block.len(), block.events().len());
-            assert_eq!(block.start_time(), Some(block.to_location_trace().events[0].time));
+            assert_eq!(
+                block.start_time(),
+                Some(block.to_location_trace().events[0].time)
+            );
             got.push(block.to_location_trace());
         }
         assert_eq!(got, tr.locations);

@@ -51,7 +51,10 @@ fn warm_rerun_replays_byte_identical_rows() {
             rendered(&warm_rows),
             "{property}: replayed rows must be byte-identical"
         );
-        assert_eq!(warm.cache_bytes_written, 0, "{property}: hits publish nothing");
+        assert_eq!(
+            warm.cache_bytes_written, 0,
+            "{property}: hits publish nothing"
+        );
         total += warm.configs;
         hits += warm.cache_hits;
     }
