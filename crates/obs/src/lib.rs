@@ -10,10 +10,11 @@
 //! - [`metrics`] — atomic [`Counter`]/[`Gauge`]/[`Histogram`]; one relaxed
 //!   atomic op per update, zero allocation, zero locks.
 //! - [`registry`] — the statically-shaped [`Registry`] grouping all
-//!   metrics per subsystem (mpisim / trace / pool / analyzer / fuzz),
-//!   shared via a cloneable [`Handle`]. Subsystem configs carry an
-//!   `Option<Handle>` exactly like they carry an `Option<TracePool>`;
-//!   `None` (the default) costs one branch.
+//!   metrics per subsystem (mpisim / trace / pool / analyzer / fuzz /
+//!   store / serve), declared once as a table and shared via a cloneable
+//!   [`Handle`]. Subsystem configs carry an `Option<Handle>` exactly like
+//!   they carry an `Option<TracePool>`; `None` (the default) costs one
+//!   branch.
 //! - [`export`] + [`manifest`] — Prometheus text exposition and the JSON
 //!   run manifest written next to artifacts, with the deterministic
 //!   counter snapshot split from the timing-dependent runtime section.
@@ -40,59 +41,45 @@ pub use registry::{
 /// How a [`crate::registry::Handle`]-carrying session should observe
 /// itself. The default is fully off: no registry, no recording, and the
 /// disabled path costs a single `Option` branch at each site.
-#[derive(Debug, Clone)]
-pub struct ObsConfig {
-    /// Record metrics at all.
-    pub enabled: bool,
-    /// Use a private registry (tests, overhead measurement) instead of
-    /// the process-wide [`global`] one (bins, long-lived sessions). The
-    /// global registry additionally arms [`global_enabled`] so
-    /// free-function call sites (trace codec) record too.
-    pub fresh_registry: bool,
-}
-
-impl Default for ObsConfig {
-    fn default() -> Self {
-        ObsConfig::off()
-    }
+#[derive(Debug, Clone, Default)]
+pub enum ObsConfig {
+    /// Record nothing.
+    #[default]
+    Off,
+    /// Record into the process-wide [`global`] registry (bins, long-lived
+    /// sessions) and arm [`global_enabled`], so free-function call sites
+    /// (trace codec) record too.
+    Global,
+    /// Record into a private registry (tests, overhead measurement).
+    Fresh,
 }
 
 impl ObsConfig {
     /// Observability fully disabled (the default).
     pub fn off() -> Self {
-        ObsConfig {
-            enabled: false,
-            fresh_registry: false,
-        }
+        ObsConfig::Off
     }
 
     /// Record into the process-wide registry and arm global recording.
     pub fn on() -> Self {
-        ObsConfig {
-            enabled: true,
-            fresh_registry: false,
-        }
+        ObsConfig::Global
     }
 
     /// Record into a private registry (deterministic-snapshot tests).
     pub fn fresh() -> Self {
-        ObsConfig {
-            enabled: true,
-            fresh_registry: true,
-        }
+        ObsConfig::Fresh
     }
 
     /// Materialize the handle this config asks for (and apply the side
     /// effect: arming global recording).
     pub fn handle(&self) -> Option<Handle> {
-        if !self.enabled {
-            return None;
-        }
-        if self.fresh_registry {
-            Some(Handle::new())
-        } else {
-            set_global_enabled(true);
-            Some(global().clone())
+        match self {
+            ObsConfig::Off => None,
+            ObsConfig::Global => {
+                set_global_enabled(true);
+                Some(global().clone())
+            }
+            ObsConfig::Fresh => Some(Handle::new()),
         }
     }
 }
@@ -104,7 +91,7 @@ mod tests {
     #[test]
     fn off_config_yields_no_handle() {
         assert!(ObsConfig::off().handle().is_none());
-        assert!(!ObsConfig::default().enabled);
+        assert!(matches!(ObsConfig::default(), ObsConfig::Off));
     }
 
     #[test]
@@ -119,5 +106,6 @@ mod tests {
         let a = ObsConfig::on().handle().unwrap();
         assert!(global_enabled());
         assert!(a.same_registry(global()));
+        assert!(global_if_enabled().is_some_and(|g| g.same_registry(global())));
     }
 }

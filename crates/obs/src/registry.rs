@@ -3,9 +3,12 @@
 //! Rather than a string-keyed map (which would put a hash + allocation on
 //! every hot-path update), the registry is a plain struct of per-subsystem
 //! metric groups: every instrumentation site touches a field directly, so
-//! recording is exactly one relaxed atomic op. Names, help strings and the
-//! deterministic/runtime classification live in the enumeration methods
-//! ([`Registry::counters`] etc.), which only run at export time.
+//! recording is exactly one relaxed atomic op. Every metric is declared
+//! once, as a row of the `registry!` table below: the row gives the
+//! field, its type, its export name and help string, and for counters
+//! the deterministic/runtime class. The macro generates the group
+//! structs, [`Registry`], and the enumeration behind
+//! [`Registry::counters`] etc., which only runs at export time.
 //!
 //! A *deterministic* counter is one whose value is a pure function of the
 //! workload (seed, parameters): simulated events, messages, findings,
@@ -20,161 +23,249 @@ use std::ops::Deref;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// `mpisim`: the virtual-time MPI substrate.
-#[derive(Debug, Default)]
-pub struct MpiMetrics {
-    /// Simulations executed (`ats_mpi::run` entries).
-    pub runs: Counter,
-    /// Rank threads spawned across all runs.
-    pub ranks: Counter,
-    /// Events recorded into rank-local traces.
-    pub events: Counter,
-    /// Point-to-point envelopes pushed through mailboxes.
-    pub messages: Counter,
-    /// Collective operations completed (one per op, not per rank).
-    pub collectives: Counter,
-    /// Simulated tree/butterfly stages across all collectives.
-    pub collective_rounds: Counter,
-    /// Deepest any mailbox queue ever got.
-    pub mailbox_depth_max: Gauge,
-    /// Scheduler events executed by the discrete-event backend (task
-    /// resumptions popped off the virtual-clock queue).
-    pub sched_events: Counter,
-    /// Deepest the discrete-event ready queue ever got.
-    pub sched_ready_depth_max: Gauge,
+/// Class of a counter row: a pure function of the workload, exported in
+/// the manifest's deterministic section.
+const DETERMINISTIC: bool = true;
+/// Class of a counter row: timing- or scheduling-dependent, exported in
+/// the manifest's runtime section.
+const RUNTIME: bool = false;
+
+/// One metric of the table, borrowed from a live registry. Only counters
+/// carry a class; gauges and histograms are always runtime.
+enum Row<'a> {
+    Counter(&'a Counter, bool),
+    Gauge(&'a Gauge),
+    Histogram(&'a Histogram),
 }
 
-/// `trace`: codecs and the event-buffer pool.
-#[derive(Debug, Default)]
-pub struct TraceMetrics {
-    /// Bytes produced by the ATSB binary encoder.
-    pub binary_bytes_encoded: Counter,
-    /// Bytes consumed by the ATSB binary decoder.
-    pub binary_bytes_decoded: Counter,
-    /// Bytes written as JSONL.
-    pub jsonl_bytes_encoded: Counter,
-    /// Bytes read as JSONL.
-    pub jsonl_bytes_decoded: Counter,
-    /// Event-buffer pool takes satisfied from the pool.
-    pub pool_hits: Counter,
-    /// Event-buffer pool takes that allocated fresh.
-    pub pool_misses: Counter,
-    /// Buffers recycled back into the pool.
-    pub pool_recycled: Counter,
+/// Declare the registry: one block per subsystem group, one row per
+/// metric. A row reads
+///
+/// ```text
+/// /// field doc
+/// field: Counter(DETERMINISTIC or RUNTIME) = "export_name", "help";
+/// field: Gauge = "export_name", "help";
+/// field: Histogram = "export_name", "help";
+/// ```
+///
+/// and becomes a public field of its group struct plus one entry of
+/// `Registry::each`, in table order.
+macro_rules! registry {
+    ($(
+        $(#[$group_doc:meta])*
+        $group:ident: $Group:ident {
+            $(
+                $(#[$doc:meta])*
+                $field:ident: $Kind:ident $(($class:expr))? = $name:literal, $help:literal;
+            )*
+        }
+    )*) => {
+        $(
+            $(#[$group_doc])*
+            #[derive(Debug, Default)]
+            pub struct $Group {
+                $($(#[$doc])* pub $field: $Kind,)*
+            }
+        )*
+
+        /// All subsystem metric groups under one roof.
+        #[derive(Debug, Default)]
+        pub struct Registry {
+            $(pub $group: $Group,)*
+        }
+
+        impl Registry {
+            /// Visit every metric in table order with its group's field
+            /// name, its export name and its help string.
+            fn each<'a>(
+                &'a self,
+                mut visit: impl FnMut(&str, &'static str, &'static str, Row<'a>),
+            ) {
+                $($(
+                    visit(
+                        stringify!($group),
+                        $name,
+                        $help,
+                        Row::$Kind(&self.$group.$field $(, $class)?),
+                    );
+                )*)*
+            }
+        }
+    };
 }
 
-/// `harness::pool`: the bounded sweep worker pool.
-#[derive(Debug, Default)]
-pub struct PoolMetrics {
-    /// Tasks executed through the pool.
-    pub tasks: Counter,
-    /// Nanoseconds workers spent executing tasks (busy time).
-    pub busy_ns: Counter,
-    /// Nanoseconds of pool wall time (per `run_indexed` call, summed).
-    pub wall_ns: Counter,
-    /// Worker count of the most recent pool launch.
-    pub jobs_occupancy: Gauge,
-    /// Delay between pool launch and each task being claimed.
-    pub queue_wait: Histogram,
-    /// Per-task execution time.
-    pub task_time: Histogram,
-}
+registry! {
+    /// `mpisim`: the virtual-time MPI substrate.
+    mpi: MpiMetrics {
+        /// Simulations executed (`ats_mpi::run` entries).
+        runs: Counter(DETERMINISTIC) = "ats_mpisim_runs_total", "Simulations executed";
+        /// Rank threads spawned across all runs.
+        ranks: Counter(DETERMINISTIC) = "ats_mpisim_ranks_total", "Rank threads spawned";
+        /// Events recorded into rank-local traces.
+        events: Counter(DETERMINISTIC) =
+            "ats_mpisim_events_total", "Events recorded into traces";
+        /// Point-to-point envelopes pushed through mailboxes.
+        messages: Counter(DETERMINISTIC) =
+            "ats_mpisim_messages_total", "P2P envelopes through mailboxes";
+        /// Collective operations completed (one per op, not per rank).
+        collectives: Counter(DETERMINISTIC) =
+            "ats_mpisim_collectives_total", "Collective operations completed";
+        /// Simulated tree/butterfly stages across all collectives.
+        collective_rounds: Counter(DETERMINISTIC) =
+            "ats_mpisim_collective_rounds_total", "Simulated collective tree stages";
+        /// Deepest any mailbox queue ever got.
+        mailbox_depth_max: Gauge =
+            "ats_mpisim_mailbox_depth_max", "Deepest mailbox queue seen";
+        /// Scheduler events executed by the discrete-event backend (task
+        /// resumptions popped off the virtual-clock queue).
+        sched_events: Counter(DETERMINISTIC) =
+            "ats_mpisim_sched_events_total", "Discrete-event scheduler events executed";
+        /// Deepest the discrete-event ready queue ever got.
+        sched_ready_depth_max: Gauge =
+            "ats_mpisim_sched_ready_depth_max", "Deepest discrete-event ready queue seen";
+    }
 
-/// `analyzer`: EXPERT-style pattern search.
-#[derive(Debug, Default)]
-pub struct AnalyzerMetrics {
-    /// Analyses performed.
-    pub analyses: Counter,
-    /// Events ingested across all analyses.
-    pub events_ingested: Counter,
-    /// Bytes ingested from on-disk traces.
-    pub bytes_ingested: Counter,
-    /// Findings reported (above-threshold severities).
-    pub findings: Counter,
-    /// State extraction pass.
-    pub extract_time: Histogram,
-    /// Late-sender pattern matching.
-    pub late_sender_time: Histogram,
-    /// Late-receiver pattern matching.
-    pub late_receiver_time: Histogram,
-    /// Wrong-order pattern matching.
-    pub wrong_order_time: Histogram,
-    /// Collective wait-state matching.
-    pub collective_time: Histogram,
-    /// Critical-wait (progress/serialization) matching.
-    pub critical_time: Histogram,
-    /// Severity cube → report build.
-    pub severity_time: Histogram,
-}
+    /// `trace`: codecs and the event-buffer pool.
+    trace: TraceMetrics {
+        /// Bytes produced by the ATSB binary encoder.
+        binary_bytes_encoded: Counter(DETERMINISTIC) =
+            "ats_trace_binary_bytes_encoded_total", "ATSB bytes encoded";
+        /// Bytes consumed by the ATSB binary decoder.
+        binary_bytes_decoded: Counter(DETERMINISTIC) =
+            "ats_trace_binary_bytes_decoded_total", "ATSB bytes decoded";
+        /// Bytes written as JSONL.
+        jsonl_bytes_encoded: Counter(DETERMINISTIC) =
+            "ats_trace_jsonl_bytes_encoded_total", "JSONL bytes written";
+        /// Bytes read as JSONL.
+        jsonl_bytes_decoded: Counter(DETERMINISTIC) =
+            "ats_trace_jsonl_bytes_decoded_total", "JSONL bytes read";
+        /// Event-buffer pool takes satisfied from the pool.
+        pool_hits: Counter(RUNTIME) =
+            "ats_trace_pool_hits_total", "Event-buffer pool reuse hits";
+        /// Event-buffer pool takes that allocated fresh.
+        pool_misses: Counter(RUNTIME) =
+            "ats_trace_pool_misses_total", "Event-buffer pool misses";
+        /// Buffers recycled back into the pool.
+        pool_recycled: Counter(RUNTIME) =
+            "ats_trace_pool_recycled_total", "Event buffers recycled";
+    }
 
-/// `fuzz::campaign`: the seeded scenario fuzzer.
-#[derive(Debug, Default)]
-pub struct FuzzMetrics {
-    /// Scenarios executed.
-    pub scenarios: Counter,
-    /// Phases across all executed scenarios.
-    pub phases: Counter,
-    /// Oracle violations found.
-    pub violations: Counter,
-    /// Simulation re-runs spent shrinking violating scenarios.
-    pub shrink_iterations: Counter,
-    /// Full oracle verdict latency (predict + execute + compare).
-    pub oracle_time: Histogram,
-    /// End-to-end per-scenario latency (generate + run + check).
-    pub scenario_time: Histogram,
-}
+    /// `harness::pool`: the bounded sweep worker pool.
+    pool: PoolMetrics {
+        /// Tasks executed through the pool.
+        tasks: Counter(DETERMINISTIC) = "ats_pool_tasks_total", "Worker-pool tasks executed";
+        /// Nanoseconds workers spent executing tasks (busy time).
+        busy_ns: Counter(RUNTIME) = "ats_pool_busy_nanoseconds_total", "Worker busy time";
+        /// Nanoseconds of pool wall time (per `run_indexed` call, summed).
+        wall_ns: Counter(RUNTIME) = "ats_pool_wall_nanoseconds_total", "Pool wall time";
+        /// Worker count of the most recent pool launch.
+        jobs_occupancy: Gauge =
+            "ats_pool_jobs_occupancy", "Workers in the latest pool launch";
+        /// Delay between pool launch and each task being claimed.
+        queue_wait: Histogram = "ats_pool_queue_wait_seconds", "Task claim latency";
+        /// Per-task execution time.
+        task_time: Histogram = "ats_pool_task_time_seconds", "Per-task execution time";
+    }
 
-/// `store`: the content-addressed artifact store. All store counters are
-/// runtime-classified — hits and misses depend on what previous runs left
-/// on disk, not on the workload alone.
-#[derive(Debug, Default)]
-pub struct StoreMetrics {
-    /// Lookups satisfied from the store (integrity-verified).
-    pub hits: Counter,
-    /// Lookups that found nothing usable.
-    pub misses: Counter,
-    /// Entries committed.
-    pub puts: Counter,
-    /// Entries rejected because size or checksum verification failed.
-    pub integrity_failures: Counter,
-    /// Artifact bytes read back on hits.
-    pub bytes_read: Counter,
-    /// Artifact bytes written on puts.
-    pub bytes_written: Counter,
-}
+    /// `analyzer`: EXPERT-style pattern search.
+    analyzer: AnalyzerMetrics {
+        /// Analyses performed.
+        analyses: Counter(DETERMINISTIC) = "ats_analyzer_analyses_total", "Analyses performed";
+        /// Events ingested across all analyses.
+        events_ingested: Counter(DETERMINISTIC) =
+            "ats_analyzer_events_ingested_total", "Events ingested";
+        /// Bytes ingested from on-disk traces.
+        bytes_ingested: Counter(DETERMINISTIC) =
+            "ats_analyzer_bytes_ingested_total", "Bytes ingested from disk";
+        /// Findings reported (above-threshold severities).
+        findings: Counter(DETERMINISTIC) = "ats_analyzer_findings_total", "Findings reported";
+        /// State extraction pass.
+        extract_time: Histogram = "ats_analyzer_extract_seconds", "State extraction pass";
+        /// Late-sender pattern matching.
+        late_sender_time: Histogram =
+            "ats_analyzer_pattern_late_sender_seconds", "Late-sender matching";
+        /// Late-receiver pattern matching.
+        late_receiver_time: Histogram =
+            "ats_analyzer_pattern_late_receiver_seconds", "Late-receiver matching";
+        /// Wrong-order pattern matching.
+        wrong_order_time: Histogram =
+            "ats_analyzer_pattern_wrong_order_seconds", "Wrong-order matching";
+        /// Collective wait-state matching.
+        collective_time: Histogram =
+            "ats_analyzer_pattern_collective_seconds", "Collective wait matching";
+        /// Critical-wait (progress/serialization) matching.
+        critical_time: Histogram =
+            "ats_analyzer_pattern_critical_seconds", "Critical-wait matching";
+        /// Severity cube → report build.
+        severity_time: Histogram =
+            "ats_analyzer_severity_seconds", "Severity cube and report build";
+    }
 
-/// `serve`: the campaign HTTP service. All serve metrics are
-/// runtime-classified — they measure traffic, not workload.
-#[derive(Debug, Default)]
-pub struct ServeMetrics {
-    /// Requests accepted and answered (any status).
-    pub requests: Counter,
-    /// Connections shed with 429 at admission.
-    pub shed: Counter,
-    /// Responses with a 4xx/5xx status.
-    pub errors: Counter,
-    /// Response body bytes written.
-    pub bytes_out: Counter,
-    /// Campaign rows streamed across all responses.
-    pub rows_streamed: Counter,
-    /// Most requests ever in flight at once.
-    pub inflight_max: Gauge,
-    /// Live connections right now.
-    pub connections: Gauge,
-    /// Request latency, accept to last byte.
-    pub request_time: Histogram,
-}
+    /// `fuzz::campaign`: the seeded scenario fuzzer.
+    fuzz: FuzzMetrics {
+        /// Scenarios executed.
+        scenarios: Counter(DETERMINISTIC) =
+            "ats_fuzz_scenarios_total", "Fuzz scenarios executed";
+        /// Phases across all executed scenarios.
+        phases: Counter(DETERMINISTIC) = "ats_fuzz_phases_total", "Fuzz phases executed";
+        /// Oracle violations found.
+        violations: Counter(DETERMINISTIC) = "ats_fuzz_violations_total", "Oracle violations";
+        /// Simulation re-runs spent shrinking violating scenarios.
+        shrink_iterations: Counter(DETERMINISTIC) =
+            "ats_fuzz_shrink_iterations_total", "Shrink re-runs";
+        /// Full oracle verdict latency (predict + execute + compare).
+        oracle_time: Histogram = "ats_fuzz_oracle_seconds", "Oracle verdict latency";
+        /// End-to-end per-scenario latency (generate + run + check).
+        scenario_time: Histogram = "ats_fuzz_scenario_seconds", "Per-scenario latency";
+    }
 
-/// All subsystem metric groups under one roof.
-#[derive(Debug, Default)]
-pub struct Registry {
-    pub mpi: MpiMetrics,
-    pub trace: TraceMetrics,
-    pub pool: PoolMetrics,
-    pub analyzer: AnalyzerMetrics,
-    pub fuzz: FuzzMetrics,
-    pub store: StoreMetrics,
-    pub serve: ServeMetrics,
+    /// `store`: the content-addressed artifact store. All store counters are
+    /// runtime-classified — hits and misses depend on what previous runs left
+    /// on disk, not on the workload alone.
+    store: StoreMetrics {
+        /// Lookups satisfied from the store (integrity-verified).
+        hits: Counter(RUNTIME) = "ats_store_hits_total", "Artifact-store verified hits";
+        /// Lookups that found nothing usable.
+        misses: Counter(RUNTIME) = "ats_store_misses_total", "Artifact-store misses";
+        /// Entries committed.
+        puts: Counter(RUNTIME) = "ats_store_puts_total", "Artifact-store entries committed";
+        /// Entries rejected because size or checksum verification failed.
+        integrity_failures: Counter(RUNTIME) =
+            "ats_store_integrity_failures_total", "Artifact-store checksum rejections";
+        /// Artifact bytes read back on hits.
+        bytes_read: Counter(RUNTIME) =
+            "ats_store_bytes_read_total", "Artifact bytes replayed from the store";
+        /// Artifact bytes written on puts.
+        bytes_written: Counter(RUNTIME) =
+            "ats_store_bytes_written_total", "Artifact bytes persisted to the store";
+    }
+
+    /// `serve`: the campaign HTTP service. All serve metrics are
+    /// runtime-classified — they measure traffic, not workload.
+    serve: ServeMetrics {
+        /// Requests accepted and answered (any status).
+        requests: Counter(RUNTIME) = "ats_serve_requests_total", "Service requests answered";
+        /// Connections shed with 429 at admission.
+        shed: Counter(RUNTIME) =
+            "ats_serve_shed_total", "Connections shed with 429 at admission";
+        /// Responses with a 4xx/5xx status.
+        errors: Counter(RUNTIME) =
+            "ats_serve_errors_total", "Service responses with an error status";
+        /// Response body bytes written.
+        bytes_out: Counter(RUNTIME) =
+            "ats_serve_bytes_out_total", "Response body bytes written";
+        /// Campaign rows streamed across all responses.
+        rows_streamed: Counter(RUNTIME) =
+            "ats_serve_rows_streamed_total", "Campaign rows streamed to clients";
+        /// Most requests ever in flight at once.
+        inflight_max: Gauge =
+            "ats_serve_inflight_max", "Most requests ever in flight at once";
+        /// Live connections right now.
+        connections: Gauge = "ats_serve_connections", "Live service connections";
+        /// Request latency, accept to last byte.
+        request_time: Histogram =
+            "ats_serve_request_seconds", "Request latency, accept to last byte";
+    }
 }
 
 /// An enumerated counter: name, help, deterministic flag, current value.
@@ -203,333 +294,44 @@ impl Registry {
     /// Enumerate every counter with its export name. The `deterministic`
     /// flag drives the manifest partition (see module docs).
     pub fn counters(&self) -> Vec<CounterDesc> {
-        let c = |name, help, deterministic, counter: &Counter| CounterDesc {
-            name,
-            help,
-            deterministic,
-            value: counter.get(),
-        };
-        vec![
-            c(
-                "ats_mpisim_runs_total",
-                "Simulations executed",
-                true,
-                &self.mpi.runs,
-            ),
-            c(
-                "ats_mpisim_ranks_total",
-                "Rank threads spawned",
-                true,
-                &self.mpi.ranks,
-            ),
-            c(
-                "ats_mpisim_events_total",
-                "Events recorded into traces",
-                true,
-                &self.mpi.events,
-            ),
-            c(
-                "ats_mpisim_messages_total",
-                "P2P envelopes through mailboxes",
-                true,
-                &self.mpi.messages,
-            ),
-            c(
-                "ats_mpisim_collectives_total",
-                "Collective operations completed",
-                true,
-                &self.mpi.collectives,
-            ),
-            c(
-                "ats_mpisim_collective_rounds_total",
-                "Simulated collective tree stages",
-                true,
-                &self.mpi.collective_rounds,
-            ),
-            c(
-                "ats_mpisim_sched_events_total",
-                "Discrete-event scheduler events executed",
-                true,
-                &self.mpi.sched_events,
-            ),
-            c(
-                "ats_trace_binary_bytes_encoded_total",
-                "ATSB bytes encoded",
-                true,
-                &self.trace.binary_bytes_encoded,
-            ),
-            c(
-                "ats_trace_binary_bytes_decoded_total",
-                "ATSB bytes decoded",
-                true,
-                &self.trace.binary_bytes_decoded,
-            ),
-            c(
-                "ats_trace_jsonl_bytes_encoded_total",
-                "JSONL bytes written",
-                true,
-                &self.trace.jsonl_bytes_encoded,
-            ),
-            c(
-                "ats_trace_jsonl_bytes_decoded_total",
-                "JSONL bytes read",
-                true,
-                &self.trace.jsonl_bytes_decoded,
-            ),
-            c(
-                "ats_trace_pool_hits_total",
-                "Event-buffer pool reuse hits",
-                false,
-                &self.trace.pool_hits,
-            ),
-            c(
-                "ats_trace_pool_misses_total",
-                "Event-buffer pool misses",
-                false,
-                &self.trace.pool_misses,
-            ),
-            c(
-                "ats_trace_pool_recycled_total",
-                "Event buffers recycled",
-                false,
-                &self.trace.pool_recycled,
-            ),
-            c(
-                "ats_pool_tasks_total",
-                "Worker-pool tasks executed",
-                true,
-                &self.pool.tasks,
-            ),
-            c(
-                "ats_pool_busy_nanoseconds_total",
-                "Worker busy time",
-                false,
-                &self.pool.busy_ns,
-            ),
-            c(
-                "ats_pool_wall_nanoseconds_total",
-                "Pool wall time",
-                false,
-                &self.pool.wall_ns,
-            ),
-            c(
-                "ats_analyzer_analyses_total",
-                "Analyses performed",
-                true,
-                &self.analyzer.analyses,
-            ),
-            c(
-                "ats_analyzer_events_ingested_total",
-                "Events ingested",
-                true,
-                &self.analyzer.events_ingested,
-            ),
-            c(
-                "ats_analyzer_bytes_ingested_total",
-                "Bytes ingested from disk",
-                true,
-                &self.analyzer.bytes_ingested,
-            ),
-            c(
-                "ats_analyzer_findings_total",
-                "Findings reported",
-                true,
-                &self.analyzer.findings,
-            ),
-            c(
-                "ats_fuzz_scenarios_total",
-                "Fuzz scenarios executed",
-                true,
-                &self.fuzz.scenarios,
-            ),
-            c(
-                "ats_fuzz_phases_total",
-                "Fuzz phases executed",
-                true,
-                &self.fuzz.phases,
-            ),
-            c(
-                "ats_fuzz_violations_total",
-                "Oracle violations",
-                true,
-                &self.fuzz.violations,
-            ),
-            c(
-                "ats_fuzz_shrink_iterations_total",
-                "Shrink re-runs",
-                true,
-                &self.fuzz.shrink_iterations,
-            ),
-            c(
-                "ats_store_hits_total",
-                "Artifact-store verified hits",
-                false,
-                &self.store.hits,
-            ),
-            c(
-                "ats_store_misses_total",
-                "Artifact-store misses",
-                false,
-                &self.store.misses,
-            ),
-            c(
-                "ats_store_puts_total",
-                "Artifact-store entries committed",
-                false,
-                &self.store.puts,
-            ),
-            c(
-                "ats_store_integrity_failures_total",
-                "Artifact-store checksum rejections",
-                false,
-                &self.store.integrity_failures,
-            ),
-            c(
-                "ats_store_bytes_read_total",
-                "Artifact bytes replayed from the store",
-                false,
-                &self.store.bytes_read,
-            ),
-            c(
-                "ats_store_bytes_written_total",
-                "Artifact bytes persisted to the store",
-                false,
-                &self.store.bytes_written,
-            ),
-            c(
-                "ats_serve_requests_total",
-                "Service requests answered",
-                false,
-                &self.serve.requests,
-            ),
-            c(
-                "ats_serve_shed_total",
-                "Connections shed with 429 at admission",
-                false,
-                &self.serve.shed,
-            ),
-            c(
-                "ats_serve_errors_total",
-                "Service responses with an error status",
-                false,
-                &self.serve.errors,
-            ),
-            c(
-                "ats_serve_bytes_out_total",
-                "Response body bytes written",
-                false,
-                &self.serve.bytes_out,
-            ),
-            c(
-                "ats_serve_rows_streamed_total",
-                "Campaign rows streamed to clients",
-                false,
-                &self.serve.rows_streamed,
-            ),
-        ]
+        let mut out = Vec::new();
+        self.each(|_, name, help, row| {
+            if let Row::Counter(c, deterministic) = row {
+                out.push(CounterDesc {
+                    name,
+                    help,
+                    deterministic,
+                    value: c.get(),
+                });
+            }
+        });
+        out
     }
 
     /// Enumerate every gauge. Gauges are always runtime-classified.
     pub fn gauges(&self) -> Vec<GaugeDesc> {
-        let g = |name, help, gauge: &Gauge| GaugeDesc {
-            name,
-            help,
-            value: gauge.get(),
-        };
-        vec![
-            g(
-                "ats_mpisim_mailbox_depth_max",
-                "Deepest mailbox queue seen",
-                &self.mpi.mailbox_depth_max,
-            ),
-            g(
-                "ats_mpisim_sched_ready_depth_max",
-                "Deepest discrete-event ready queue seen",
-                &self.mpi.sched_ready_depth_max,
-            ),
-            g(
-                "ats_pool_jobs_occupancy",
-                "Workers in the latest pool launch",
-                &self.pool.jobs_occupancy,
-            ),
-            g(
-                "ats_serve_inflight_max",
-                "Most requests ever in flight at once",
-                &self.serve.inflight_max,
-            ),
-            g(
-                "ats_serve_connections",
-                "Live service connections",
-                &self.serve.connections,
-            ),
-        ]
+        let mut out = Vec::new();
+        self.each(|_, name, help, row| {
+            if let Row::Gauge(g) = row {
+                out.push(GaugeDesc {
+                    name,
+                    help,
+                    value: g.get(),
+                });
+            }
+        });
+        out
     }
 
     /// Enumerate every histogram. Histograms are always runtime-classified.
     pub fn histograms(&self) -> Vec<HistDesc<'_>> {
-        let h = |name, help, hist| HistDesc { name, help, hist };
-        vec![
-            h(
-                "ats_pool_queue_wait_seconds",
-                "Task claim latency",
-                &self.pool.queue_wait,
-            ),
-            h(
-                "ats_pool_task_time_seconds",
-                "Per-task execution time",
-                &self.pool.task_time,
-            ),
-            h(
-                "ats_analyzer_extract_seconds",
-                "State extraction pass",
-                &self.analyzer.extract_time,
-            ),
-            h(
-                "ats_analyzer_pattern_late_sender_seconds",
-                "Late-sender matching",
-                &self.analyzer.late_sender_time,
-            ),
-            h(
-                "ats_analyzer_pattern_late_receiver_seconds",
-                "Late-receiver matching",
-                &self.analyzer.late_receiver_time,
-            ),
-            h(
-                "ats_analyzer_pattern_wrong_order_seconds",
-                "Wrong-order matching",
-                &self.analyzer.wrong_order_time,
-            ),
-            h(
-                "ats_analyzer_pattern_collective_seconds",
-                "Collective wait matching",
-                &self.analyzer.collective_time,
-            ),
-            h(
-                "ats_analyzer_pattern_critical_seconds",
-                "Critical-wait matching",
-                &self.analyzer.critical_time,
-            ),
-            h(
-                "ats_analyzer_severity_seconds",
-                "Severity cube and report build",
-                &self.analyzer.severity_time,
-            ),
-            h(
-                "ats_fuzz_oracle_seconds",
-                "Oracle verdict latency",
-                &self.fuzz.oracle_time,
-            ),
-            h(
-                "ats_fuzz_scenario_seconds",
-                "Per-scenario latency",
-                &self.fuzz.scenario_time,
-            ),
-            h(
-                "ats_serve_request_seconds",
-                "Request latency, accept to last byte",
-                &self.serve.request_time,
-            ),
-        ]
+        let mut out = Vec::new();
+        self.each(|_, name, help, row| {
+            if let Row::Histogram(hist) = row {
+                out.push(HistDesc { name, help, hist });
+            }
+        });
+        out
     }
 }
 
@@ -621,6 +423,15 @@ mod tests {
 
     #[test]
     fn enumeration_covers_all_subsystems() {
+        const PREFIXES: [(&str, &str); 7] = [
+            ("mpi", "ats_mpisim_"),
+            ("trace", "ats_trace_"),
+            ("pool", "ats_pool_"),
+            ("analyzer", "ats_analyzer_"),
+            ("fuzz", "ats_fuzz_"),
+            ("store", "ats_store_"),
+            ("serve", "ats_serve_"),
+        ];
         let r = Registry::default();
         let names: Vec<&str> = r
             .counters()
@@ -629,15 +440,7 @@ mod tests {
             .chain(r.gauges().iter().map(|g| g.name))
             .chain(r.histograms().iter().map(|h| h.name))
             .collect();
-        for prefix in [
-            "ats_mpisim_",
-            "ats_trace_",
-            "ats_pool_",
-            "ats_analyzer_",
-            "ats_fuzz_",
-            "ats_store_",
-            "ats_serve_",
-        ] {
+        for (_, prefix) in PREFIXES {
             assert!(
                 names.iter().any(|n| n.starts_with(prefix)),
                 "no metric for subsystem {prefix}"
@@ -648,10 +451,20 @@ mod tests {
         sorted.sort_unstable();
         sorted.dedup();
         assert_eq!(sorted.len(), names.len(), "duplicate metric name");
-    }
-
-    #[test]
-    fn global_recording_is_gated() {
-        assert!(global_if_enabled().is_none() || global_enabled());
+        // Each name carries its own group's prefix.
+        r.each(|group, name, _, _| {
+            let (_, prefix) = PREFIXES
+                .iter()
+                .find(|(g, _)| *g == group)
+                .unwrap_or_else(|| panic!("no prefix for group {group}"));
+            assert!(name.starts_with(prefix), "{name} is in group {group}");
+        });
+        // Counters are totals; histograms measure seconds.
+        for c in r.counters() {
+            assert!(c.name.ends_with("_total"), "counter {}", c.name);
+        }
+        for h in r.histograms() {
+            assert!(h.name.ends_with("_seconds"), "histogram {}", h.name);
+        }
     }
 }

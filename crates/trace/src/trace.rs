@@ -1,7 +1,7 @@
 //! The merged global trace.
 
 use crate::event::{Event, EventKind, LocationId};
-use crate::region::{RegionId, RegionKind, RegionMeta, RegionTable};
+use crate::region::{RegionId, RegionKind, RegionMeta};
 use ats_runtime::{VDur, VTime};
 
 /// Definition record for one communicator / synchronization context: its
@@ -88,11 +88,6 @@ impl Trace {
             .binary_search_by_key(&id, |c| c.id)
             .ok()
             .map(|i| self.comms[i].members.as_slice())
-    }
-
-    /// A [`RegionTable`] view over this trace's region metadata.
-    pub fn region_table(&self) -> RegionTable {
-        RegionTable::from_snapshot(self.regions.clone())
     }
 
     /// The name of a region id.
