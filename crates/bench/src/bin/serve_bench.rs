@@ -221,7 +221,14 @@ fn main() {
     }
     // Once every client has written (and is parked before reading),
     // sample the server's view of concurrency, then release the reads.
+    // The server counts a connection when its acceptor admits it, which
+    // can trail the client's write while the connection waits in the
+    // kernel backlog: give the acceptor a bounded time to catch up.
     written.wait();
+    let admit_deadline = Instant::now() + Duration::from_secs(10);
+    while handle.live_connections() < clients && Instant::now() < admit_deadline {
+        std::thread::sleep(Duration::from_millis(1));
+    }
     peak.store(handle.live_connections(), Ordering::SeqCst);
     sampled.wait();
     for t in threads {

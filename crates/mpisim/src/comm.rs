@@ -12,7 +12,6 @@
 use ats_runtime::sync::Unpoison;
 use ats_runtime::{Rendezvous, VTime};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 /// One member's contribution to a collective operation.
 #[derive(Debug, Clone, Default)]
@@ -59,19 +58,11 @@ impl CollSlot {
     /// `now` is the member's virtual clock on entry.
     ///
     /// # Panics
-    /// On a rank thread, panics if not all members arrive within `timeout`
-    /// (collective deadlock / mismatched membership); in a scheduler task
-    /// the scheduler reports the deadlock at once. Also panics if `me`
-    /// deposits twice in one round (program error).
-    pub fn exchange(
-        &self,
-        me: usize,
-        contrib: Contrib,
-        now: VTime,
-        timeout: Duration,
-    ) -> (u64, Arc<Vec<Contrib>>) {
-        self.rendezvous
-            .exchange(me, contrib, now, Some(Instant::now() + timeout))
+    /// Panics as an `"MPI collective"` deadlock if a member never arrives
+    /// (mismatched membership), and if `me` deposits twice in one round
+    /// (program error).
+    pub fn exchange(&self, me: usize, contrib: Contrib, now: VTime) -> (u64, Arc<Vec<Contrib>>) {
+        self.rendezvous.exchange(me, contrib, now)
     }
 
     /// Exit-time vector for collective round `seq`, computing it at most
@@ -171,9 +162,9 @@ impl Comm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ats_runtime::sched::WaitSet;
     use std::thread;
-
-    const T: Duration = Duration::from_secs(5);
+    use std::time::Duration;
 
     #[test]
     fn exchange_distributes_all_contributions() {
@@ -187,7 +178,7 @@ mod tests {
                     data: vec![me as u8],
                     counts: None,
                 };
-                slot.exchange(me, c, VTime::ZERO, T)
+                slot.exchange(me, c, VTime::ZERO)
             }));
         }
         for h in handles {
@@ -210,7 +201,7 @@ mod tests {
             handles.push(thread::spawn(move || {
                 let mut seqs = Vec::new();
                 for _ in 0..5 {
-                    let (seq, _) = slot.exchange(me, Contrib::default(), VTime::ZERO, T);
+                    let (seq, _) = slot.exchange(me, Contrib::default(), VTime::ZERO);
                     seqs.push(seq);
                 }
                 seqs
@@ -222,15 +213,11 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "collective rendezvous stalled")]
+    #[should_panic(expected = "MPI collective blocked for 50ms")]
     fn lone_member_times_out() {
+        WaitSet::set_thread_budget(Duration::from_millis(50));
         let slot = CollSlot::new(2);
-        slot.exchange(
-            0,
-            Contrib::default(),
-            VTime::ZERO,
-            Duration::from_millis(50),
-        );
+        slot.exchange(0, Contrib::default(), VTime::ZERO);
     }
 
     #[test]

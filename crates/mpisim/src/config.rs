@@ -24,9 +24,10 @@ pub struct SimConfig {
     pub finalize_time: VDur,
     /// Whether the run records a trace (instrumented) or not.
     pub instrumented: bool,
-    /// Wall-clock budget for any single blocking operation before the run
-    /// is declared deadlocked and aborted. A test *suite* must fail fast on
-    /// substrate bugs rather than hang CI.
+    /// Thread backend only: how long a rank thread may stay blocked with
+    /// no wake-up before the run is declared deadlocked and aborted. A test
+    /// *suite* must fail fast on substrate bugs rather than hang CI. The
+    /// event backend detects deadlock structurally and never reads it.
     pub progress_timeout: Duration,
     /// Calibrated busy-loop rate for real work mode (`None` = library
     /// default; see [`ats_runtime::work::DEFAULT_ITERS_PER_SEC`]).

@@ -16,7 +16,6 @@ use ats_runtime::VTime;
 use std::collections::VecDeque;
 use std::sync::Arc;
 use std::sync::Mutex;
-use std::time::{Duration, Instant};
 
 /// Rendezvous handshake cell: the receiver deposits its post time, waking
 /// the blocked (synchronous-mode) sender.
@@ -38,22 +37,12 @@ impl Handshake {
     /// `now` is the sender's virtual clock at the blocking point.
     ///
     /// # Panics
-    /// Panics after `timeout` of inactivity — the test-suite's deadlock
-    /// detector (thread backend; the event backend detects structurally).
-    pub fn await_receiver(&self, now: VTime, timeout: Duration) -> VTime {
+    /// Panics as a `"rendezvous send"` deadlock if the matching receive is
+    /// never posted.
+    pub fn await_receiver(&self, now: VTime) -> VTime {
         let mut slot = self.slot.lock().unpoison();
-        let deadline = Instant::now() + timeout;
         while slot.is_none() {
-            let (guard, timed_out) =
-                self.ws
-                    .wait(&self.slot, slot, Some(deadline), now, "rendezvous send");
-            slot = guard;
-            if timed_out {
-                panic!(
-                    "rendezvous send blocked for {timeout:?}: matching receive never posted \
-                     (deadlock in the simulated program?)"
-                );
-            }
+            slot = self.ws.wait(&self.slot, slot, now, "rendezvous send");
         }
         slot.unwrap()
     }
@@ -157,10 +146,9 @@ impl Mailbox {
     /// point.
     ///
     /// # Panics
-    /// Panics after `timeout` without a match (deadlock detection).
-    pub fn take_match(&self, spec: MatchSpec, now: VTime, timeout: Duration) -> Envelope {
-        self.take_match_any(std::slice::from_ref(&spec), now, timeout)
-            .1
+    /// Panics as an `"MPI receive"` deadlock if no match ever arrives.
+    pub fn take_match(&self, spec: MatchSpec, now: VTime) -> Envelope {
+        self.take_match_any(std::slice::from_ref(&spec), now).1
     }
 
     /// Remove and return the queued envelope with the earliest virtual send
@@ -169,16 +157,10 @@ impl Mailbox {
     /// the matcher behind `waitany` as well as single-spec receives.
     ///
     /// # Panics
-    /// Panics after `timeout` without a match (deadlock detection).
-    pub fn take_match_any(
-        &self,
-        specs: &[MatchSpec],
-        now: VTime,
-        timeout: Duration,
-    ) -> (usize, Envelope) {
+    /// Panics as an `"MPI receive"` deadlock if no match ever arrives.
+    pub fn take_match_any(&self, specs: &[MatchSpec], now: VTime) -> (usize, Envelope) {
         assert!(!specs.is_empty(), "take_match_any needs at least one spec");
         let mut q = self.queue.lock().unpoison();
-        let deadline = Instant::now() + timeout;
         // On the event backend the scheduler resumes a blocked receiver no
         // earlier than the waking send's post time and pops tasks in
         // virtual-time order, so every envelope with an earlier virtual
@@ -190,8 +172,7 @@ impl Mailbox {
         // threads not yet scheduled) can join the selection. This keeps
         // ANY_SOURCE matching as close to virtual-time order as an online
         // matcher can be.
-        let coop = sched::in_task();
-        let mut graced = coop || (specs.len() == 1 && specs[0].src.is_some());
+        let mut graced = sched::in_task() || (specs.len() == 1 && specs[0].src.is_some());
         loop {
             // Among queued matches, prefer the earliest *virtual* send
             // (ties: lowest source, then arrival order, then spec order).
@@ -206,22 +187,12 @@ impl Mailbox {
             if let Some((pos, si)) = best {
                 if !graced {
                     graced = true;
-                    q = self.ws.wait_for_os(q, Duration::from_micros(500)).0;
+                    q = self.ws.grace(q);
                     continue;
                 }
                 return (si, q.remove(pos).expect("position came from iteration"));
             }
-            let (guard, timed_out) =
-                self.ws
-                    .wait(&self.queue, q, Some(deadline), now, "MPI receive");
-            q = guard;
-            if timed_out {
-                panic!(
-                    "receive matching {specs:?} blocked for {timeout:?} with {} queued \
-                     non-matching messages (deadlock in the simulated program?)",
-                    q.len()
-                );
-            }
+            q = self.ws.wait(&self.queue, q, now, "MPI receive");
         }
     }
 
@@ -240,6 +211,7 @@ impl Mailbox {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::time::Duration;
 
     fn env(comm: u32, src: u32, tag: i32) -> Envelope {
         Envelope {
@@ -252,8 +224,6 @@ mod tests {
         }
     }
 
-    const T: Duration = Duration::from_secs(2);
-
     #[test]
     fn exact_match_fifo_per_source() {
         let mb = Mailbox::new();
@@ -264,7 +234,7 @@ mod tests {
             src: Some(1),
             tag: Some(5),
         };
-        let first = mb.take_match(spec, VTime::ZERO, T);
+        let first = mb.take_match(spec, VTime::ZERO);
         assert_eq!(first.send_post, VTime(1));
         assert_eq!(mb.len(), 1);
     }
@@ -281,7 +251,6 @@ mod tests {
                 tag: Some(9),
             },
             VTime::ZERO,
-            T,
         );
         assert_eq!(got.tag, 9);
         assert_eq!(mb.len(), 1, "the tag-5 message stays queued");
@@ -318,7 +287,6 @@ mod tests {
                 tag: None,
             },
             VTime::ZERO,
-            T,
         );
         assert_eq!((got.src, got.tag), (3, 42));
     }
@@ -342,7 +310,6 @@ mod tests {
                             tag: Some(0),
                         },
                         VTime::ZERO,
-                        T,
                     );
                     *got.lock().unpoison() = Some(e);
                 }),
@@ -380,7 +347,7 @@ mod tests {
                 tag: None,
             },
         ];
-        let (idx, got) = mb.take_match_any(&specs, VTime::ZERO, T);
+        let (idx, got) = mb.take_match_any(&specs, VTime::ZERO);
         assert_eq!(
             (idx, got.src),
             (1, 1),
@@ -390,8 +357,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "deadlock")]
+    #[should_panic(expected = "MPI receive blocked for 50ms")]
     fn timeout_panics() {
+        WaitSet::set_thread_budget(Duration::from_millis(50));
         let mb = Mailbox::new();
         mb.take_match(
             MatchSpec {
@@ -400,7 +368,6 @@ mod tests {
                 tag: Some(0),
             },
             VTime::ZERO,
-            Duration::from_millis(50),
         );
     }
 
@@ -413,7 +380,7 @@ mod tests {
             128 * 1024,
             "test",
             vec![
-                Box::new(|| *seen.lock().unpoison() = Some(h.await_receiver(VTime::ZERO, T))),
+                Box::new(|| *seen.lock().unpoison() = Some(h.await_receiver(VTime::ZERO))),
                 Box::new(|| {
                     sched::yield_at(VTime(123));
                     h.complete(VTime(123));
@@ -424,8 +391,9 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "rendezvous")]
+    #[should_panic(expected = "rendezvous send blocked for 50ms")]
     fn handshake_timeout_panics() {
-        Handshake::default().await_receiver(VTime::ZERO, Duration::from_millis(50));
+        WaitSet::set_thread_budget(Duration::from_millis(50));
+        Handshake::default().await_receiver(VTime::ZERO);
     }
 }

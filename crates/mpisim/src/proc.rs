@@ -263,7 +263,7 @@ impl Proc {
         self.clock = match handshake {
             None => post + model.send_overhead,
             Some(h) => {
-                let recv_post = h.await_receiver(post, self.world.timeout);
+                let recv_post = h.await_receiver(post);
                 post.max(recv_post) + model.p2p_wire(data.len())
             }
         };
@@ -294,7 +294,7 @@ impl Proc {
         let env = self
             .world
             .mailbox(comm.global_rank(comm.rank()))
-            .take_match(spec, post, self.world.timeout);
+            .take_match(spec, post);
         let (data, status, completion) = self.complete_recv(post, env, comm);
         self.clock = completion;
         self.local.exit(self.clock, r);
@@ -410,7 +410,7 @@ impl Proc {
                 bytes,
                 handshake,
             } => {
-                let recv_post = handshake.await_receiver(at, self.world.timeout);
+                let recv_post = handshake.await_receiver(at);
                 let done = post.max(recv_post) + self.world.model.p2p_wire(bytes);
                 self.clock = at.max(done);
                 None
@@ -419,7 +419,7 @@ impl Proc {
                 let env = self
                     .world
                     .mailbox(comm.global_rank(comm.rank()))
-                    .take_match(spec, at, self.world.timeout);
+                    .take_match(spec, at);
                 let (data, status, completion) = self.complete_recv(post, env, &comm);
                 self.clock = at.max(completion);
                 Some((data, status))
@@ -470,10 +470,7 @@ impl Proc {
         }
         let specs: Vec<MatchSpec> = pending.iter().map(|&(_, s)| s).collect();
         let at = self.clock;
-        let (si, env) =
-            self.world
-                .mailbox(self.rank)
-                .take_match_any(&specs, at, self.world.timeout);
+        let (si, env) = self.world.mailbox(self.rank).take_match_any(&specs, at);
         let i = pending[si].0;
         let (post, comm) = match reqs[i].take() {
             ReqInner::Recv { post, comm, .. } => (post, comm),
@@ -502,7 +499,7 @@ impl Proc {
         // source because we re-deliver before anyone else can observe the
         // queue (we hold no other messages).
         let mb = self.world.mailbox(comm.global_rank(comm.rank()));
-        let env = mb.take_match(spec, post, self.world.timeout);
+        let env = mb.take_match(spec, post);
         let status = Status {
             source: env.src as usize,
             tag: env.tag,
@@ -550,7 +547,6 @@ impl Proc {
                 counts,
             },
             entry,
-            self.world.timeout,
         );
         if let Some(obs) = &self.world.obs {
             obs.mpi.collectives.inc();
@@ -872,7 +868,6 @@ impl Proc {
                 counts: None,
             },
             entry,
-            self.world.timeout,
         );
         // Split is synchronizing: price it like a barrier.
         let exits = comm.shared.slot.cached_exits(seq, || {
@@ -950,7 +945,6 @@ impl Proc {
                 counts: None,
             },
             entry,
-            self.world.timeout,
         );
         let latest = all.iter().map(|c| c.entry).max().unwrap_or(entry);
         self.clock = latest + cost;

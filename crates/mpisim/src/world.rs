@@ -6,14 +6,14 @@ use crate::comm::CommShared;
 use crate::config::SimConfig;
 use crate::mailbox::Mailbox;
 use crate::proc::Proc;
+use ats_runtime::sched::{self, WaitSet};
 use ats_runtime::sync::Unpoison;
-use ats_runtime::{sched, MachineModel, SimBackend, WorkEngine};
+use ats_runtime::{MachineModel, SimBackend, WorkEngine};
 use ats_trace::{Trace, TraceCollector};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU32, Ordering};
 use std::sync::Arc;
 use std::sync::Mutex;
-use std::time::Duration;
 
 /// Shared world state: the transport and the communicator broker.
 pub(crate) struct WorldShared {
@@ -23,7 +23,6 @@ pub(crate) struct WorldShared {
     /// the first member to ask creates the shared state, the rest reuse it.
     broker: Mutex<HashMap<(u32, u64, i64), Arc<CommShared>>>,
     pub(crate) model: MachineModel,
-    pub(crate) timeout: Duration,
     pub(crate) obs: Option<ats_obs::Handle>,
     collector: TraceCollector,
 }
@@ -140,7 +139,6 @@ where
         next_comm_id: Arc::new(AtomicU32::new(1)),
         broker: Mutex::new(HashMap::new()),
         model: config.model.clone(),
-        timeout: config.progress_timeout,
         obs: config.obs.clone(),
         collector: collector.clone(),
     });
@@ -196,8 +194,10 @@ where
     result
 }
 
-/// The legacy backend: one OS thread per rank, kept for one release as a
-/// differential-testing oracle against the event scheduler.
+/// One OS thread per rank, kept as the differential-testing oracle against
+/// the event scheduler. Each rank thread carries `progress_timeout` as its
+/// [`WaitSet`] budget: with no scheduler to see that every rank is blocked,
+/// a rank that waits that long with no wake-up declares a deadlock.
 fn run_threads<R, F>(
     config: &SimConfig,
     collector: &TraceCollector,
@@ -215,12 +215,24 @@ where
                 let collector = collector.clone();
                 let world = world.clone();
                 let world_comm = world_comm.clone();
-                s.spawn(move || run_rank(rank, config, collector, world, world_comm, f))
+                s.spawn(move || {
+                    WaitSet::set_thread_budget(config.progress_timeout);
+                    run_rank(rank, config, collector, world, world_comm, f)
+                })
             })
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("rank thread panicked"))
+            .map(|h| {
+                h.join().unwrap_or_else(|p| {
+                    let msg = p
+                        .downcast_ref::<String>()
+                        .map(String::as_str)
+                        .or_else(|| p.downcast_ref::<&str>().copied())
+                        .unwrap_or("non-string payload");
+                    panic!("rank thread panicked: {msg}")
+                })
+            })
             .collect()
     })
 }
@@ -277,6 +289,8 @@ mod tests {
     use crate::datatype::{bytes_to_i32s, i32s_to_bytes, Datatype, ReduceOp};
     use ats_runtime::{VDur, VTime};
     use ats_trace::check_wellformed;
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+    use std::time::Duration;
 
     fn cfg(n: usize) -> SimConfig {
         SimConfig {
@@ -812,5 +826,36 @@ mod tests {
                 panic!("boom");
             }
         });
+    }
+
+    #[test]
+    fn both_backends_name_the_blocked_receive() {
+        // Rank 0 waits for a tag rank 1 never sends. The event backend
+        // sees it structurally; the thread backend runs out of its
+        // progress budget. Either way the report names the same wait.
+        let mismatched = |backend| {
+            let mut config = cfg(2).backend(backend);
+            config.progress_timeout = Duration::from_millis(100);
+            let err = catch_unwind(AssertUnwindSafe(|| {
+                run(config, |p| {
+                    let c = p.comm_world();
+                    if p.rank() == 0 {
+                        p.recv(1, 99, &c);
+                    } else {
+                        p.send(b"x", 0, 1, &c);
+                    }
+                })
+            }))
+            .expect_err("a mismatched receive must not complete");
+            err.downcast_ref::<String>().cloned().unwrap_or_default()
+        };
+        let event = mismatched(SimBackend::Event);
+        assert!(event.contains("scheduler deadlock"), "got: {event}");
+        assert!(event.contains("task 0 in MPI receive"), "got: {event}");
+        let thread = mismatched(SimBackend::Thread);
+        assert!(
+            thread.contains("MPI receive blocked for 100ms"),
+            "got: {thread}"
+        );
     }
 }

@@ -184,9 +184,7 @@ impl DynSched {
     }
 
     fn wait<'a>(&'a self, st: MutexGuard<'a, DsState>, clock: VTime) -> MutexGuard<'a, DsState> {
-        self.ws
-            .wait(&self.m, st, None, clock, "OpenMP worksharing")
-            .0
+        self.ws.wait(&self.m, st, clock, "OpenMP worksharing")
     }
 
     /// Wake every waiter at its own clock: a grant carries no message, so
@@ -295,10 +293,7 @@ impl VirtualMutex {
         sched::yield_at(arrival);
         let mut st = self.state.lock().unpoison();
         while st.held {
-            st = self
-                .ws
-                .wait(&self.state, st, None, arrival, "OpenMP lock")
-                .0;
+            st = self.ws.wait(&self.state, st, arrival, "OpenMP lock");
         }
         st.held = true;
         let start = arrival.max(st.free_at) + lock_overhead;

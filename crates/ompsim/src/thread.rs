@@ -135,7 +135,7 @@ impl<'t> OmpThread<'t> {
         let r = self.collector.intern("omp_barrier", RegionKind::OmpSync);
         let entry = self.clock;
         self.local.get().enter(entry, r);
-        let (seq, entries) = self.team.barrier.exchange(self.tid, entry, entry, None);
+        let (seq, entries) = self.team.barrier.exchange(self.tid, entry, entry);
         let exit = self.team.barrier_exit(&entries);
         self.clock = exit;
         self.local
@@ -155,7 +155,7 @@ impl<'t> OmpThread<'t> {
         let (seq, all) = self
             .team
             .reduction
-            .exchange(self.tid, (entry, value), entry, None);
+            .exchange(self.tid, (entry, value), entry);
         let entries: Vec<VTime> = all.iter().map(|(e, _)| *e).collect();
         let exit = self.team.barrier_exit(&entries);
         self.clock = exit;
@@ -516,7 +516,7 @@ pub fn parallel<M: Master>(m: &mut M, nthreads: usize, body: impl Fn(&mut OmpThr
 /// record the join pseudo-collective, and return the join time.
 fn join_team(th: &mut OmpThread<'_>) -> VTime {
     let entry = th.clock;
-    let (seq, ends) = th.team.barrier.exchange(th.tid, entry, entry, None);
+    let (seq, ends) = th.team.barrier.exchange(th.tid, entry, entry);
     let join = ends.iter().copied().max().unwrap_or(entry);
     th.clock = join;
     th.local

@@ -10,8 +10,7 @@
 use crate::sched::WaitSet;
 use crate::sync::Unpoison;
 use crate::time::VTime;
-use std::sync::{Arc, Mutex, MutexGuard};
-use std::time::Instant;
+use std::sync::{Arc, Mutex};
 
 #[derive(Debug)]
 struct State<T> {
@@ -58,21 +57,14 @@ impl<T> Rendezvous<T> {
     /// indexed by participant.
     ///
     /// # Panics
-    /// Panics if `me` deposits twice in one round (a program error), or —
-    /// on a plain thread only — if the round is still incomplete at
-    /// `deadline`. Inside a scheduler task a missing participant is a
-    /// structural deadlock, reported by the scheduler under `reason`.
-    pub fn exchange(
-        &self,
-        me: usize,
-        contrib: T,
-        now: VTime,
-        deadline: Option<Instant>,
-    ) -> (u64, Arc<Vec<T>>) {
+    /// Panics if `me` deposits twice in one round (a program error). A
+    /// missing participant is a deadlock, reported under `reason`: by the
+    /// scheduler inside a task, by the [`WaitSet`] budget on a thread.
+    pub fn exchange(&self, me: usize, contrib: T, now: VTime) -> (u64, Arc<Vec<T>>) {
         let mut st = self.state.lock().unpoison();
         // Wait out the drain phase of the previous round.
         while !st.filling {
-            st = self.wait(st, deadline, now);
+            st = self.ws.wait(&self.state, st, now, self.reason);
         }
         assert!(
             st.contribs[me].is_none(),
@@ -93,7 +85,7 @@ impl<T> Rendezvous<T> {
             self.ws.notify_all(now);
         } else {
             while st.filling {
-                st = self.wait(st, deadline, now);
+                st = self.ws.wait(&self.state, st, now, self.reason);
             }
         }
         let seq = st.seq;
@@ -108,25 +100,6 @@ impl<T> Rendezvous<T> {
             self.ws.notify_all(now);
         }
         (seq, all)
-    }
-
-    fn wait<'m>(
-        &'m self,
-        st: MutexGuard<'m, State<T>>,
-        deadline: Option<Instant>,
-        now: VTime,
-    ) -> MutexGuard<'m, State<T>> {
-        let (st, timed_out) = self.ws.wait(&self.state, st, deadline, now, self.reason);
-        if timed_out {
-            panic!(
-                "{} rendezvous stalled: {}/{} participants arrived before timeout \
-                 (mismatched call or deadlock in the simulated program?)",
-                self.reason,
-                st.arrived,
-                st.contribs.len()
-            );
-        }
-        st
     }
 }
 
@@ -144,8 +117,8 @@ mod tests {
                 .map(|me| {
                     let rv = &rv;
                     s.spawn(move || {
-                        let (s0, v0) = rv.exchange(me, me * 10, VTime::ZERO, None);
-                        let (s1, v1) = rv.exchange(me, me + 100, VTime::ZERO, None);
+                        let (s0, v0) = rv.exchange(me, me * 10, VTime::ZERO);
+                        let (s1, v1) = rv.exchange(me, me + 100, VTime::ZERO);
                         assert_eq!((s0, v0.as_slice()), (0, &[0, 10, 20][..]));
                         assert_eq!((s1, v1.as_slice()), (1, &[100, 101, 102][..]));
                     })
@@ -169,7 +142,7 @@ mod tests {
                     let (rv, seen) = (&rv, &seen);
                     Box::new(move || {
                         for round in 0..3u64 {
-                            let (seq, all) = rv.exchange(me, me, VTime(round), None);
+                            let (seq, all) = rv.exchange(me, me, VTime(round));
                             assert_eq!(seq, round);
                             seen.lock().unpoison().push(all);
                         }
@@ -186,21 +159,17 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "test rendezvous stalled")]
-    fn lone_thread_times_out_at_its_deadline() {
-        let rv = Rendezvous::new(2, "test");
-        rv.exchange(
-            0,
-            (),
-            VTime::ZERO,
-            Some(Instant::now() + Duration::from_millis(50)),
-        );
+    #[should_panic(expected = "test barrier blocked for 50ms")]
+    fn lone_thread_panics_after_its_budget() {
+        WaitSet::set_thread_budget(Duration::from_millis(50));
+        let rv = Rendezvous::new(2, "test barrier");
+        rv.exchange(0, (), VTime::ZERO);
     }
 
     #[test]
     fn singleton_is_immediate() {
         let rv = Rendezvous::new(1, "test");
-        let (seq, all) = rv.exchange(0, 7u32, VTime::ZERO, None);
+        let (seq, all) = rv.exchange(0, 7u32, VTime::ZERO);
         assert_eq!((seq, all.as_slice()), (0, &[7][..]));
     }
 }

@@ -53,14 +53,14 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex, MutexGuard};
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
 /// Which execution substrate drives the simulated ranks.
 ///
 /// Both backends produce byte-identical traces on race-free programs (the
 /// whole catalog); the event backend is one to two orders of magnitude
-/// faster and scales to 10k+ ranks. The thread backend is retained for one
-/// release as a differential-testing oracle.
+/// faster and scales to 10k+ ranks. The thread backend is kept as the
+/// differential-testing oracle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum SimBackend {
     /// One OS thread per rank, parked on condvars while blocked.
@@ -758,11 +758,23 @@ mod ctx {
 /// task and falls back to an OS condvar on plain threads — the bridge that
 /// lets one blocking API (mailboxes, rendezvous handshakes, collective
 /// slots) serve both backends unchanged.
+///
+/// The condvar branch is the only place the simulator reads the wall
+/// clock: a thread-backend rank has no scheduler to see that every
+/// participant is blocked, so it gives up after a real-time budget of
+/// inactivity instead (see [`WaitSet::set_thread_budget`]).
 #[derive(Debug, Default)]
 pub struct WaitSet {
     cv: Condvar,
     waiters: Mutex<Vec<TaskId>>,
 }
+
+thread_local! {
+    static BUDGET: Cell<Option<Duration>> = const { Cell::new(None) };
+}
+
+/// How long [`WaitSet::grace`] lets in-flight notifications land.
+const GRACE: Duration = Duration::from_micros(500);
 
 impl WaitSet {
     /// An empty wait set.
@@ -770,50 +782,56 @@ impl WaitSet {
         Self::default()
     }
 
+    /// Give every condvar wait on this OS thread a deadlock budget: a wait
+    /// that sees no wake-up for `budget` panics. Thread-backend ranks set
+    /// it from `SimConfig::progress_timeout`; without it a plain thread
+    /// waits without limit. Scheduler tasks ignore it (their deadlocks are
+    /// structural).
+    pub fn set_thread_budget(budget: Duration) {
+        BUDGET.with(|b| b.set(Some(budget)));
+    }
+
     /// Release `guard`, wait for [`WaitSet::notify_all`], and hand back a
     /// freshly acquired guard on `mutex` (which must own `guard`).
     ///
-    /// Inside a task this suspends the coroutine with resume bound `clock`
-    /// and the flag is always `false` (deadlock detection is structural).
-    /// On a plain thread it waits on the condvar and the flag is `true`
-    /// iff `deadline` passed — the caller's real-time deadlock budget;
-    /// `None` waits without one.
+    /// Inside a task this suspends the coroutine with resume bound `clock`;
+    /// `reason` names the wait in the scheduler's deadlock report. On a
+    /// plain thread it waits on the condvar.
+    ///
+    /// # Panics
+    /// On a plain thread with a budget set, panics naming `reason` if the
+    /// budget passes with no wake-up.
     pub fn wait<'m, T>(
         &self,
         mutex: &'m Mutex<T>,
         guard: MutexGuard<'m, T>,
-        deadline: Option<Instant>,
         clock: VTime,
         reason: &'static str,
-    ) -> (MutexGuard<'m, T>, bool) {
+    ) -> MutexGuard<'m, T> {
         if let Some(id) = current() {
             self.waiters.lock().unpoison().push(id);
             drop(guard);
             block(clock, reason);
-            (mutex.lock().unpoison(), false)
-        } else if let Some(deadline) = deadline {
-            let left = deadline.saturating_duration_since(Instant::now());
-            let (guard, _) = self.cv.wait_timeout(guard, left).unpoison();
-            (guard, Instant::now() >= deadline)
-        } else {
-            (self.cv.wait(guard).unpoison(), false)
+            return mutex.lock().unpoison();
         }
+        let Some(budget) = BUDGET.with(Cell::get) else {
+            return self.cv.wait(guard).unpoison();
+        };
+        let (guard, res) = self.cv.wait_timeout(guard, budget).unpoison();
+        if res.timed_out() {
+            drop(guard);
+            panic!("{reason} blocked for {budget:?} with no wake-up (deadlock in the simulated program?)");
+        }
+        guard
     }
 
-    /// Condvar-only timed wait, for the thread backend's wall-clock grace
-    /// window: the guard back, and `true` on timeout. Must not be called
-    /// from a task.
-    pub fn wait_for_os<'m, T>(
-        &self,
-        guard: MutexGuard<'m, T>,
-        dur: Duration,
-    ) -> (MutexGuard<'m, T>, bool) {
-        debug_assert!(
-            current().is_none(),
-            "wait_for_os called from a simulation task"
-        );
-        let (guard, res) = self.cv.wait_timeout(guard, dur).unpoison();
-        (guard, res.timed_out())
+    /// Thread backend only: release `guard` for a short real-time window so
+    /// notifications still in flight from other rank threads can land, and
+    /// hand it back. Must not be called from a task, whose ordering is
+    /// exact already.
+    pub fn grace<'m, T>(&self, guard: MutexGuard<'m, T>) -> MutexGuard<'m, T> {
+        debug_assert!(current().is_none(), "grace called from a simulation task");
+        self.cv.wait_timeout(guard, GRACE).unpoison().0
     }
 
     /// Wake every registered waiter: queued tasks re-enter the scheduler
@@ -891,9 +909,7 @@ mod tests {
                 boxed(|| {
                     let mut s = slot.lock().unpoison();
                     while s.is_none() {
-                        let (g, timed_out) = ws.wait(&slot, s, None, VTime::ZERO, "test-recv");
-                        assert!(!timed_out);
-                        s = g;
+                        s = ws.wait(&slot, s, VTime::ZERO, "test-recv");
                     }
                     *got.lock().unpoison() = *s;
                 }),
@@ -920,7 +936,7 @@ mod tests {
                 boxed(|| {
                     let mut f = flag.lock().unpoison();
                     while !*f {
-                        f = ws.wait(&flag, f, None, VTime::ZERO, "test-wait").0;
+                        f = ws.wait(&flag, f, VTime::ZERO, "test-wait");
                     }
                     drop(f);
                     log.lock().unpoison().push("waiter");
@@ -960,7 +976,7 @@ mod tests {
                     assert_eq!(current(), Some(TaskId(0)));
                     let mut f = flag.lock().unpoison();
                     while !*f {
-                        f = ws.wait(&flag, f, None, VTime(1), "test-wait").0;
+                        f = ws.wait(&flag, f, VTime(1), "test-wait");
                     }
                     drop(f);
                     log.lock().unpoison().push(("outer woke", current()));
@@ -1004,7 +1020,7 @@ mod tests {
                         let _g = Guard(&dropped);
                         let mut l = lock.lock().unpoison();
                         loop {
-                            l = ws.wait(&lock, l, None, VTime::ZERO, "test-park").0;
+                            l = ws.wait(&lock, l, VTime::ZERO, "test-park");
                         }
                     }),
                     boxed(|| panic!("kaboom")),
@@ -1031,7 +1047,7 @@ mod tests {
                 vec![boxed(|| {
                     let mut l = lock.lock().unpoison();
                     loop {
-                        l = ws.wait(&lock, l, None, VTime(9), "test-recv").0;
+                        l = ws.wait(&lock, l, VTime(9), "test-recv");
                     }
                 })],
             )
